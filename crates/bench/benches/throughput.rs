@@ -18,19 +18,14 @@
 //! The **query-count sweep** measures the pipelined ingest + scope-dedup
 //! path on the workload shape that used to stall the routing core: 1/8/64
 //! Flink-like queries sharing one routing scope (dedup collapses them to
-//! a single router scan per batch) × shards ∈ {1, 4, 8}, with in-line
-//! routing (`pipeline 0`) against the router-thread pipeline
-//! (`pipeline 2`). On a 1-CPU host the two modes time-share one core, so
-//! their ratio measures hand-off overhead, not overlap — the JSON notes
-//! the core count for that reason.
+//! a single router scan per batch) × shards ∈ {1, 4, 8}.
 //!
-//! The **selectivity sweep** measures the compiled-scan tentpole: the
-//! same predicate-bearing workload at 0% / ~50% / 100% predicate pass
-//! rates, each run under the scalar per-row interpreter and under the
-//! vectorized bitmap [`ScanKernel`] (`SHARON_SCAN`), sequentially and
-//! 4-way sharded. Every pair of modes is asserted to report identical
-//! result counts — the CI smoke runs this on every change, so a kernel
-//! that drifts from the interpreter cannot land.
+//! The **selectivity sweep** measures the compiled scan: the same
+//! predicate-bearing workload at 0% / ~50% / 100% predicate pass rates,
+//! run through the vectorized bitmap [`ScanKernel`] sequentially and
+//! 4-way sharded. Both runs are asserted to report identical result
+//! counts. (Row-for-row parity of the kernel with the per-row
+//! interpreter is pinned by the `scan_parity` test suite.)
 //!
 //! The **routing sweep** measures the parallel routing plane on its
 //! target shape: 64 queries whose predicates all differ (so scope dedup
@@ -48,7 +43,7 @@
 //! host grants more than one CPU; the JSON records
 //! `available_parallelism` so readers can interpret the ratios.
 
-use sharon::executor::{set_scan_mode, ScanMode, ShardedOptions, SplitConfig};
+use sharon::executor::{ShardedOptions, SplitConfig};
 use sharon::prelude::*;
 use sharon::streams::taxi::{self, TaxiConfig};
 use sharon::streams::workload::{figure_1_workload, measured_rates_batch};
@@ -126,7 +121,14 @@ fn scenario(n_events: usize, n_vehicles: usize) -> (String, Vec<Run>) {
     let shared = Arc::new(batch.clone());
     for shards in SHARD_COUNTS {
         runs.push(measure(&format!("sharded/{shards}"), n, || {
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, shards).unwrap();
+            let mut ex = ShardedExecutor::with_options(
+                &catalog,
+                &workload,
+                &plan,
+                shards,
+                ShardedOptions::default(),
+            )
+            .unwrap();
             ex.process_shared(&shared);
             ex.finish()
         }));
@@ -184,21 +186,24 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
     }));
     for shards in SHARD_COUNTS {
         runs.push(measure(&format!("sharded/{shards}"), n, || {
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, shards).unwrap();
+            let mut ex = ShardedExecutor::with_options(
+                &catalog,
+                &workload,
+                &plan,
+                shards,
+                ShardedOptions::default(),
+            )
+            .unwrap();
             ex.process_shared(&shared);
             ex.finish()
         }));
     }
     runs.push(measure("sharded/8/pinned", n, || {
-        let mut ex = ShardedExecutor::with_split_config(
-            &catalog,
-            &workload,
-            &plan,
-            8,
-            sharon::executor::DEFAULT_BATCH_SIZE,
-            SplitConfig::disabled(),
-        )
-        .unwrap();
+        let options = ShardedOptions {
+            split: SplitConfig::disabled(),
+            ..ShardedOptions::default()
+        };
+        let mut ex = ShardedExecutor::with_options(&catalog, &workload, &plan, 8, options).unwrap();
         ex.process_shared(&shared);
         ex.finish()
     }));
@@ -216,40 +221,30 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
     // legs above into pinned-only runs and the smoke would keep passing
     // while never exercising the split/merge path. `split_snapshot()`
     // barriers the routing plane before counting, so the guard holds at
-    // every pipeline depth and router count — including the pipelined
-    // configurations whose live `split_groups()` may trail the short
-    // smoke stream's last batches.
+    // every router count, even though the live `split_groups()` may
+    // trail the short smoke stream's last batches.
     if theta > 0.0 {
-        for (depth, routers) in [(0usize, 1usize), (2, 1), (2, 2)] {
-            let mut ex = ShardedExecutor::with_options(
-                &catalog,
-                &workload,
-                &plan,
-                8,
-                ShardedOptions {
-                    batch_size: sharon::executor::DEFAULT_BATCH_SIZE,
-                    pipeline_depth: depth,
-                    routers,
-                    split: SplitConfig {
-                        min_rows: 64,
-                        hot_fraction: 0.05,
-                        ..SplitConfig::default()
-                    },
-                    ..ShardedOptions::default()
+        for routers in [1usize, 2] {
+            let options = ShardedOptions {
+                routers,
+                split: SplitConfig {
+                    min_rows: 64,
+                    hot_fraction: 0.05,
+                    ..SplitConfig::default()
                 },
-            )
-            .unwrap();
+                ..ShardedOptions::default()
+            };
+            let mut ex =
+                ShardedExecutor::with_options(&catalog, &workload, &plan, 8, options).unwrap();
             ex.process_shared(&shared);
             assert!(
                 ex.split_snapshot() > 0,
-                "theta={theta} depth={depth} routers={routers}: \
-                 the skewed stream must trigger a split"
+                "theta={theta} routers={routers}: the skewed stream must trigger a split"
             );
             assert_eq!(
                 ex.finish().len(),
                 want,
-                "theta={theta} depth={depth} routers={routers}: \
-                 splitting changed the result count"
+                "theta={theta} routers={routers}: splitting changed the result count"
             );
         }
     }
@@ -260,10 +255,9 @@ fn skew_sweep(theta: f64) -> (String, Vec<Run>) {
 /// `n_queries` Flink-like queries over the same `SEQ(MainSt, StateSt)`
 /// scope (windows differ, so the queries are distinct but route
 /// identically — dedup collapses them to ONE router scan per batch),
-/// swept over shard counts with in-line routing vs the router-thread
-/// pipeline. This is the Amdahl case the pipeline exists for: per-query
-/// routing work used to serialize on the ingest core while the workers
-/// idled.
+/// swept over shard counts. This is the Amdahl case the router-thread
+/// pipeline exists for: per-query routing work used to serialize on the
+/// ingest core while the workers idled.
 fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
     let n_events = scaled(60_000, 3_000);
     let n_vehicles = 512;
@@ -293,28 +287,20 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
         ex.finish()
     }));
     for shards in [1usize, 4, 8] {
-        for (mode, depth) in [("inline", 0usize), ("pipelined", 2)] {
-            runs.push(measure(
-                &format!("flink/sharded/{shards}/{mode}"),
-                n,
-                || {
-                    let mut ex = FlinkLike::sharded_with_pipeline(
-                        &catalog,
-                        &workload,
-                        shards,
-                        sharon::executor::DEFAULT_BATCH_SIZE,
-                        depth,
-                        None,
-                    )
-                    .unwrap();
-                    ex.process_shared(&shared);
-                    ex.finish()
-                },
-            ));
-        }
+        runs.push(measure(
+            &format!("flink/sharded/{shards}/pipelined"),
+            n,
+            || {
+                let mut ex =
+                    FlinkLike::sharded(&catalog, &workload, shards, &ShardedOptions::default())
+                        .unwrap();
+                ex.process_shared(&shared);
+                ex.finish()
+            },
+        ));
     }
 
-    // routing mode and shard count must never change results
+    // the shard count must never change results
     let want = runs[0].results;
     for run in &runs {
         assert_eq!(run.results, want, "{}: result count diverged", run.label);
@@ -326,7 +312,7 @@ fn query_count_sweep(n_queries: usize) -> (String, Vec<Run>) {
 /// exists for — `n_queries` Flink-like queries whose predicates all
 /// differ, so scope dedup collapses **nothing** and the router must scan
 /// every scope on every batch. Swept over routers ∈ {1, 2, 4} × shards ∈
-/// {4, 8} (pipelined ingest, depth 2): with one router the scope scans
+/// {4, 8}: with one router the scope scans
 /// serialize on a single routing thread; a plane of R routers splits them
 /// R ways. A sequential columnar run anchors the results, and every
 /// configuration must report the identical result count.
@@ -373,16 +359,11 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
                 &format!("flink/sharded/{shards}/routers-{routers}"),
                 n,
                 || {
-                    let mut ex = FlinkLike::sharded_with_routing(
-                        &catalog,
-                        &workload,
-                        shards,
-                        sharon::executor::DEFAULT_BATCH_SIZE,
-                        2,
-                        None,
+                    let options = ShardedOptions {
                         routers,
-                    )
-                    .unwrap();
+                        ..ShardedOptions::default()
+                    };
+                    let mut ex = FlinkLike::sharded(&catalog, &workload, shards, &options).unwrap();
                     ex.process_shared(&shared);
                     ex.finish()
                 },
@@ -399,16 +380,11 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
     // load-balance guard (not measured): the LPT cost partition must keep
     // per-router scope scans within 2× of each other
     for routers in [2usize, 4] {
-        let mut ex = FlinkLike::sharded_with_routing(
-            &catalog,
-            &workload,
-            4,
-            sharon::executor::DEFAULT_BATCH_SIZE,
-            2,
-            None,
+        let options = ShardedOptions {
             routers,
-        )
-        .unwrap();
+            ..ShardedOptions::default()
+        };
+        let mut ex = FlinkLike::sharded(&catalog, &workload, 4, &options).unwrap();
         ex.process_shared(&shared);
         // split_snapshot barriers the plane, so the counters cover every
         // routed batch including the flushed tail
@@ -433,10 +409,8 @@ fn routing_sweep(n_queries: usize) -> (String, Vec<Run>) {
 /// The compiled-scan selectivity sweep: every street type carries a
 /// `speed < threshold` predicate, so `pass_label` of the rows survive the
 /// stateless scan (the taxi generator draws speeds uniformly from
-/// 5.0..70.0). Each configuration runs under the scalar per-row
-/// interpreter and under the vectorized bitmap kernel — the same stream,
-/// workload, and plan, only `SHARON_SCAN` differs — sequentially and
-/// 4-way sharded. Both modes must report identical result counts.
+/// 5.0..70.0). The kernel runs sequentially and 4-way sharded; both must
+/// report identical result counts.
 fn selectivity_sweep(pass_label: &str, threshold: f64) -> (String, Vec<Run>) {
     let n_events = scaled(200_000, 5_000);
     let n_vehicles = 512;
@@ -464,53 +438,48 @@ fn selectivity_sweep(pass_label: &str, threshold: f64) -> (String, Vec<Run>) {
     ];
     let workload =
         parse_workload(&mut catalog, sources.iter().map(String::as_str)).expect("workload parses");
+    let runs = kernel_runs(&catalog, &workload, &Arc::new(batch));
+    (name, runs)
+}
+
+/// The scan sweeps' two measured runs of a non-shared `workload` over
+/// `batch`: the sequential columnar engine and the 4-way sharded runtime,
+/// asserted to report identical result counts.
+fn kernel_runs(catalog: &Catalog, workload: &Workload, batch: &Arc<EventBatch>) -> Vec<Run> {
     let plan = SharingPlan::non_shared();
     let n = batch.len();
-    let shared = Arc::new(batch);
-
-    // the scan mode is read at executor construction: force it just
-    // around the build, then return control to the environment default
-    let mut runs = Vec::new();
-    for (mode_label, mode) in [
-        ("scalar-scan", ScanMode::Scalar),
-        ("vector-scan", ScanMode::Vector),
-    ] {
-        runs.push(measure(
-            &format!("sequential/columnar/{mode_label}"),
-            n,
-            || {
-                set_scan_mode(Some(mode));
-                let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-                set_scan_mode(None);
-                ex.process_columnar(&shared);
-                ex.finish()
-            },
-        ));
-        runs.push(measure(&format!("sharded/4/{mode_label}"), n, || {
-            set_scan_mode(Some(mode));
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, 4).unwrap();
-            set_scan_mode(None);
-            ex.process_shared(&shared);
+    let runs = vec![
+        measure("sequential/columnar", n, || {
+            let mut ex = Executor::new(catalog, workload, &plan).unwrap();
+            ex.process_columnar(batch);
             ex.finish()
-        }));
-    }
-
-    // the kernel is an optimization, never a semantics change: scalar and
-    // vector modes must agree on every configuration
-    let want = runs[0].results;
-    for run in &runs {
-        assert_eq!(run.results, want, "{}: scan modes disagree", run.label);
-    }
-    (name, runs)
+        }),
+        measure("sharded/4", n, || {
+            let mut ex = ShardedExecutor::with_options(
+                catalog,
+                workload,
+                &plan,
+                4,
+                ShardedOptions::default(),
+            )
+            .unwrap();
+            ex.process_shared(batch);
+            ex.finish()
+        }),
+    ];
+    assert_eq!(
+        runs[0].results, runs[1].results,
+        "sequential and sharded scans disagree"
+    );
+    runs
 }
 
 /// The scan-stress sweep: the branch-hostile workload the compiled scan
 /// kernels exist for. Three streets and a 3-type query, so **every** row
-/// routes (the scalar interpreter gets no cheap unrouted skip), and each
-/// type carries the same four-clause `speed` range conjunction whose
-/// clauses individually pass 23-77% of rows — unpredictable branches for
-/// the per-row short-circuit interpreter — while the conjunction itself
-/// is empty (`>= 35 AND < 35`), so no row survives and the measurement
+/// routes, and each type carries the same four-clause `speed` range
+/// conjunction whose clauses individually pass 23-77% of rows —
+/// unpredictable branches for a per-row short-circuit interpreter —
+/// while the conjunction itself is empty (`>= 35 AND < 35`), so no row survives and the measurement
 /// isolates the stateless scan. The kernel merges the clauses shared by
 /// all three types into four union-mask clauses over one gathered
 /// column, evaluated branch-free.
@@ -539,40 +508,7 @@ fn scan_stress_sweep() -> (String, Vec<Run>) {
         clauses("StateSt"),
     );
     let workload = parse_workload(&mut catalog, [source.as_str()]).expect("workload parses");
-    let plan = SharingPlan::non_shared();
-    let n = batch.len();
-    let shared = Arc::new(batch);
-
-    let mut runs = Vec::new();
-    for (mode_label, mode) in [
-        ("scalar-scan", ScanMode::Scalar),
-        ("vector-scan", ScanMode::Vector),
-    ] {
-        runs.push(measure(
-            &format!("sequential/columnar/{mode_label}"),
-            n,
-            || {
-                set_scan_mode(Some(mode));
-                let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-                set_scan_mode(None);
-                ex.process_columnar(&shared);
-                ex.finish()
-            },
-        ));
-        runs.push(measure(&format!("sharded/4/{mode_label}"), n, || {
-            set_scan_mode(Some(mode));
-            let mut ex = ShardedExecutor::new(&catalog, &workload, &plan, 4).unwrap();
-            set_scan_mode(None);
-            ex.process_shared(&shared);
-            ex.finish()
-        }));
-    }
-
-    // an empty conjunction must stay empty in both modes
-    let want = runs[0].results;
-    for run in &runs {
-        assert_eq!(run.results, want, "{}: scan modes disagree", run.label);
-    }
+    let runs = kernel_runs(&catalog, &workload, &Arc::new(batch));
     (name, runs)
 }
 
@@ -610,22 +546,32 @@ fn strategy_sweep(theta: f64) -> (String, Vec<Run>) {
     // optimize once outside the measured closures (like `scenario`): the
     // sweep times ingestion + finish, not the fixed plan-search cost
     let plan = optimize_sharon(&workload, &rates, &OptimizerConfig::default()).plan;
+    let options = ShardedOptions::default;
     let build = |strategy: Strategy, shards: usize| -> AnyExecutor {
         match (strategy, shards) {
             (Strategy::Sharon, 0) => Executor::new(&catalog, &workload, &plan).unwrap().into(),
             (Strategy::ASeq, 0) => Executor::non_shared(&catalog, &workload).unwrap().into(),
             (Strategy::FlinkLike, 0) => FlinkLike::new(&catalog, &workload).unwrap().into(),
             (Strategy::SpassLike, 0) => SpassLike::new(&catalog, &workload, &plan).unwrap().into(),
-            (Strategy::Sharon, n) => ShardedExecutor::new(&catalog, &workload, &plan, n)
+            (Strategy::Sharon, n) => {
+                ShardedExecutor::with_options(&catalog, &workload, &plan, n, options())
+                    .unwrap()
+                    .into()
+            }
+            (Strategy::ASeq, n) => {
+                let non_shared = SharingPlan::non_shared();
+                ShardedExecutor::with_options(&catalog, &workload, &non_shared, n, options())
+                    .unwrap()
+                    .into()
+            }
+            (Strategy::FlinkLike, n) => FlinkLike::sharded(&catalog, &workload, n, &options())
                 .unwrap()
                 .into(),
-            (Strategy::ASeq, n) => ShardedExecutor::non_shared(&catalog, &workload, n)
-                .unwrap()
-                .into(),
-            (Strategy::FlinkLike, n) => FlinkLike::sharded(&catalog, &workload, n).unwrap().into(),
-            (Strategy::SpassLike, n) => SpassLike::sharded(&catalog, &workload, &plan, n)
-                .unwrap()
-                .into(),
+            (Strategy::SpassLike, n) => {
+                SpassLike::sharded(&catalog, &workload, &plan, n, &options())
+                    .unwrap()
+                    .into()
+            }
             (Strategy::Greedy, _) => unreachable!("Greedy is not in the sweep"),
         }
     };
@@ -685,9 +631,8 @@ fn json_out(path: &std::path::Path, scenarios: &[(String, Vec<Run>)], parallelis
              timeshare one core, so sharded/N ratios measure overhead only, not parallel \
              speedup; in the skew sweep this also means hot-group splitting's broadcast \
              replication can only cost (sharded/N vs sharded/8/pinned shows the replication \
-             overhead, not the load-balance win), and in the query-count sweep \
-             pipelined-vs-inline measures hand-off overhead, not routing/execution overlap — \
-             rerun on a multi-core host to observe scaling\",\n",
+             overhead, not the load-balance win) — rerun on a multi-core host to observe \
+             scaling\",\n",
         );
     }
     out.push_str("  \"scenarios\": [\n");

@@ -8,7 +8,7 @@
 //! USAGE:
 //!   sharon [--queries FILE] [--stream taxi|lr|ec] [--events N]
 //!          [--strategy sharon|greedy|aseq|flink|spass] [--shards N]
-//!          [--pipeline-depth N] [--routers R] [--skew THETA] [--explain]
+//!          [--routers R] [--skew THETA] [--explain]
 //!          [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]
 //!          [--resume] [--spill-max N] [--disorder K] [--lateness B]
 //!          [--churn FILE]
@@ -17,15 +17,11 @@
 //! Figure 2 purchase workload (ec) is used. `--shards N` runs *any*
 //! strategy — online or two-step — on the sharded parallel runtime with N
 //! worker threads (every strategy is a columnar `BatchProcessor` the
-//! route-once runtime can host). `--pipeline-depth N` sets the ingest
-//! pipeline: 0 routes batches in-line on the ingest thread (the legacy
-//! mode), N >= 1 overlaps routing with execution on a dedicated router
-//! thread behind an N-deep job ring (default 2, or the `SHARON_PIPELINE`
-//! environment variable). `--routers R` sizes the routing plane: the
-//! compiled scopes are cost-partitioned across R router threads, each
-//! with its own per-worker rings, and workers merge the R streams in
-//! batch-sequence order (default 1, or the `SHARON_ROUTERS` environment
-//! variable; R > 1 requires a pipelined ingest stage).
+//! route-once runtime can host); routing overlaps execution on dedicated
+//! router threads. `--routers R` sizes the routing plane: the compiled
+//! scopes are cost-partitioned across R router threads, each with its own
+//! per-worker rings, and workers merge the R streams in batch-sequence
+//! order (default 1, or the `SHARON_ROUTERS` environment variable).
 //! `--skew THETA` draws the stream's group
 //! dimension (vehicle / car / customer) from a Zipf(THETA) distribution,
 //! the skewed `GROUP BY` shape the sharded runtime's hot-group splitting
@@ -82,7 +78,6 @@ struct Args {
     events: usize,
     strategy: Strategy,
     shards: usize,
-    pipeline_depth: usize,
     routers: Option<usize>,
     skew: f64,
     explain: bool,
@@ -103,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
         events: 50_000,
         strategy: Strategy::Sharon,
         shards: 0,
-        pipeline_depth: sharon::executor::default_pipeline_depth(),
         routers: None,
         skew: 0.0,
         explain: false,
@@ -146,11 +140,6 @@ fn parse_args() -> Result<Args, String> {
                 args.shards = value("--shards")?
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?
-            }
-            "--pipeline-depth" => {
-                args.pipeline_depth = value("--pipeline-depth")?
-                    .parse()
-                    .map_err(|e| format!("--pipeline-depth: {e}"))?
             }
             "--routers" => {
                 let n: usize = value("--routers")?
@@ -208,7 +197,7 @@ fn parse_args() -> Result<Args, String> {
                     "sharon — shared online event sequence aggregation (ICDE 2018)\n\n\
                      USAGE:\n  sharon [--queries FILE] [--stream taxi|lr|ec] [--events N]\n\
                      \x20        [--strategy sharon|greedy|aseq|flink|spass] [--shards N]\n\
-                     \x20        [--pipeline-depth N] [--routers R] [--skew THETA] [--explain]\n\
+                     \x20        [--routers R] [--skew THETA] [--explain]\n\
                      \x20        [--results N] [--checkpoint-dir DIR] [--checkpoint-interval N]\n\
                      \x20        [--resume] [--spill-max N] [--disorder K] [--lateness B]\n\
                      \x20        [--churn FILE]"
@@ -326,16 +315,8 @@ fn main() {
     // 3. durability knobs — flags override the SHARON_CHECKPOINT /
     // SHARON_FAULT environment knobs that RuntimeOptions picked up
     let mut options = runtime.sharded_options();
-    options.pipeline_depth = args.pipeline_depth;
     if let Some(n) = args.routers {
         options.routers = n;
-    }
-    if options.routers > 1 && options.pipeline_depth == 0 {
-        eprintln!(
-            "error: --routers {} needs a pipelined ingest stage (--pipeline-depth >= 1)",
-            options.routers
-        );
-        std::process::exit(2);
     }
     if let Some(dir) = &args.checkpoint_dir {
         options.checkpoint = Some(CheckpointConfig::every(
@@ -411,14 +392,13 @@ fn main() {
             &events,
             &rates,
             &options,
-            &runtime,
             shards,
             disorder,
         );
         return;
     }
     let t0 = Instant::now();
-    let n_routers = options.routers;
+    let (n_routers, pipeline_depth) = (options.routers, options.pipeline_depth);
     let mut replay_offset: u64 = 0;
     let built = if args.resume {
         resume_sharded_executor(
@@ -439,7 +419,6 @@ fn main() {
         let mut builder = SharonBuilder::new(&catalog, &workload, &rates)
             .strategy(args.strategy)
             .shards(shards)
-            .pipeline_depth(options.pipeline_depth)
             .routers(options.routers)
             .batch_size(options.batch_size);
         if let Some(ck) = options.checkpoint.clone() {
@@ -454,9 +433,6 @@ fn main() {
         if let Some(b) = options.lateness {
             builder = builder.lateness(b);
         }
-        if let Some(mode) = runtime.scan {
-            builder = builder.scan_mode(mode);
-        }
         builder.build_executor().map_err(|e| e.to_string())
     };
     let (mut executor, outcome) = match built {
@@ -468,22 +444,10 @@ fn main() {
     };
     let optimize_time = t0.elapsed();
     if shards > 0 {
-        if args.pipeline_depth > 0 && n_routers > 1 {
-            eprintln!(
-                "runtime: sharded across {} worker threads, pipelined ingest ({} router threads, depth {})",
-                shards, n_routers, args.pipeline_depth
-            );
-        } else if args.pipeline_depth > 0 {
-            eprintln!(
-                "runtime: sharded across {} worker threads, pipelined ingest (router thread, depth {})",
-                shards, args.pipeline_depth
-            );
-        } else {
-            eprintln!(
-                "runtime: sharded across {} worker threads, in-line routing",
-                shards
-            );
-        }
+        eprintln!(
+            "runtime: sharded across {shards} worker threads, pipelined ingest \
+             ({n_routers} router thread(s), depth {pipeline_depth})"
+        );
     }
 
     if let Some(outcome) = &outcome {
@@ -671,7 +635,6 @@ fn run_churn(
     events: &EventBatch,
     rates: &RateMap,
     options: &ShardedOptions,
-    runtime: &RuntimeOptions,
     shards: usize,
     disorder: u32,
 ) {
@@ -711,14 +674,10 @@ fn run_churn(
     let mut builder = SharonBuilder::new(catalog, workload, rates)
         .strategy(args.strategy)
         .shards(shards)
-        .pipeline_depth(options.pipeline_depth)
         .routers(options.routers)
         .batch_size(options.batch_size);
     if let Some(sp) = options.spill.clone() {
         builder = builder.spill(sp);
-    }
-    if let Some(mode) = runtime.scan {
-        builder = builder.scan_mode(mode);
     }
     let mut session = match builder.session(SessionConfig::default()) {
         Ok(s) => s,

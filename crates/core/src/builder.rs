@@ -1,10 +1,7 @@
 //! Fluent construction of every Sharon runtime shape.
 //!
-//! [`SharonBuilder`] replaces the old constructor zoo
-//! (`SharonFramework::{new, with_strategy, with_shards}`,
-//! `build_sharded_executor{,_with_options}`) with one chain that scales
-//! from "defaults, sequential" to "sharded, pipelined, checkpointed,
-//! spilling, fault-injected":
+//! [`SharonBuilder`] is one chain that scales from "defaults, sequential"
+//! to "sharded, multi-router, checkpointed, spilling, fault-injected":
 //!
 //! ```
 //! use sharon::prelude::*;
@@ -17,7 +14,6 @@
 //!
 //! let mut fw = SharonBuilder::new(&catalog, &workload, &rates)
 //!     .shards(2)
-//!     .pipeline_depth(0)
 //!     .build()
 //!     .unwrap();
 //! # let _ = fw.finish();
@@ -33,15 +29,15 @@ use crate::framework::SharonFramework;
 use crate::session::{SessionConfig, SharonSession};
 use crate::strategy::{build_executor, build_sharded_any, AnyExecutor, Strategy};
 use sharon_executor::{
-    set_scan_mode, CheckpointConfig, CompileError, FaultPlan, RuntimeOptions, ScanMode,
-    ShardedOptions, SpillConfig, SplitConfig,
+    CheckpointConfig, CompileError, FaultPlan, RuntimeOptions, ShardedOptions, SpillConfig,
+    SplitConfig,
 };
 use sharon_optimizer::{OptimizeOutcome, OptimizerConfig, RateMap};
 use sharon_query::Workload;
 use sharon_types::Catalog;
 
 /// Fluent builder for every executor shape: strategy × sharding ×
-/// pipelining × durability × event-time × scan mode, one setter each.
+/// routing plane × durability × event-time, one setter each.
 ///
 /// Unset knobs keep the engine defaults ([`ShardedOptions::default`],
 /// [`Strategy::Sharon`], [`OptimizerConfig::default`]). `shards(0)` (the
@@ -56,7 +52,6 @@ pub struct SharonBuilder<'a> {
     config: OptimizerConfig,
     shards: usize,
     options: ShardedOptions,
-    scan: Option<ScanMode>,
 }
 
 impl<'a> SharonBuilder<'a> {
@@ -71,7 +66,6 @@ impl<'a> SharonBuilder<'a> {
             config: OptimizerConfig::default(),
             shards: 0,
             options: ShardedOptions::default(),
-            scan: None,
         }
     }
 
@@ -95,11 +89,10 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Ingest pipeline depth for the sharded runtime: `0` routes in-line
-    /// on the ingest thread, `n ≥ 1` overlaps routing with execution on a
-    /// dedicated router thread behind an `n`-deep job ring. Default:
-    /// [`sharon_executor::default_pipeline_depth`] (honours
-    /// `SHARON_PIPELINE`).
+    /// Ingest pipeline depth for the sharded runtime: routing overlaps
+    /// execution on dedicated router threads, each behind a `depth`-deep
+    /// job ring (`depth ≥ 1`; the runtime refuses `0`). Default:
+    /// [`sharon_executor::DEFAULT_PIPELINE_DEPTH`].
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
         self.options.pipeline_depth = depth;
         self
@@ -107,8 +100,8 @@ impl<'a> SharonBuilder<'a> {
 
     /// Router threads in the sharded runtime's routing plane: `1` (the
     /// default) is the classic single router, `n ≥ 2` partitions the
-    /// compiled scopes across `n` router threads by cost estimate —
-    /// requires `pipeline_depth ≥ 1`. Default:
+    /// compiled scopes across `n` router threads by cost estimate.
+    /// Default:
     /// [`sharon_executor::default_routers`] (honours `SHARON_ROUTERS`).
     pub fn routers(mut self, n: usize) -> Self {
         self.options.routers = n;
@@ -156,33 +149,15 @@ impl<'a> SharonBuilder<'a> {
         self
     }
 
-    /// Select the stateless-scan kernel implementation.
-    ///
-    /// **Process-global:** the scan mode is a process-wide override (the
-    /// kernels are selected once per scan site), so this applies to every
-    /// executor in the process from `build` time on, not just the one
-    /// being built — last builder wins.
-    pub fn scan_mode(mut self, mode: ScanMode) -> Self {
-        self.scan = Some(mode);
-        self
-    }
-
     /// Apply every knob parsed from the `SHARON_*` environment surface
-    /// (see [`RuntimeOptions`]): shard count, pipeline depth, router
-    /// count, scan mode, lateness, checkpoint spec, and fault plan, each
-    /// only when set.
+    /// (see [`RuntimeOptions`]): shard count, router count, lateness,
+    /// checkpoint spec, and fault plan, each only when set.
     pub fn runtime_options(mut self, opts: &RuntimeOptions) -> Self {
         if let Some(n) = opts.shards {
             self.shards = n;
         }
-        if let Some(depth) = opts.pipeline_depth {
-            self.options.pipeline_depth = depth;
-        }
         if let Some(n) = opts.routers {
             self.options.routers = n;
-        }
-        if let Some(mode) = opts.scan {
-            self.scan = Some(mode);
         }
         if let Some(ms) = opts.lateness {
             self.options.lateness = Some(ms);
@@ -203,9 +178,6 @@ impl<'a> SharonBuilder<'a> {
     /// with `shards(0)` — the durability tier lives in the sharded
     /// runtime only.
     pub fn build_executor(self) -> Result<(AnyExecutor, Option<OptimizeOutcome>), CompileError> {
-        if let Some(mode) = self.scan {
-            set_scan_mode(Some(mode));
-        }
         if self.shards == 0 {
             assert!(
                 self.options.checkpoint.is_none()
@@ -253,9 +225,6 @@ impl<'a> SharonBuilder<'a> {
     /// to one shard) and require an online strategy; see
     /// [`SharonSession`] for the option surface it supports.
     pub fn session(self, session_config: SessionConfig) -> Result<SharonSession, CompileError> {
-        if let Some(mode) = self.scan {
-            set_scan_mode(Some(mode));
-        }
         SharonSession::start(
             self.catalog.clone(),
             self.workload,

@@ -151,20 +151,12 @@ pub struct CompiledPartition {
 }
 
 impl CompiledPartition {
-    /// True if `ty` routes into this partition at all (the first check of
-    /// the stateless event prefix).
-    #[inline]
-    pub fn routed(&self, ty: EventTypeId) -> bool {
-        matches!(self.routes.get(ty.index()), Some(Some(_)))
-    }
-
     /// True if `attrs` pass this partition's predicates on `ty` (a missing
     /// attribute fails). Must only be called for routed types.
     ///
-    /// This is the single definition of predicate semantics shared by the
-    /// per-event path, the columnar pre-pass, and the sharded batch
-    /// router — which must agree exactly, or routed rows would diverge
-    /// from what the engines would have dropped.
+    /// The per-event path's predicate check; the columnar paths run the
+    /// [`CompiledPartition::scan_kernel`], which must agree with it exactly
+    /// (both go through [`clause_passes`]).
     #[inline]
     pub fn predicates_pass(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
         self.predicates[ty.index()]
@@ -174,23 +166,12 @@ impl CompiledPartition {
 
     /// Compile this partition's stateless prefix — routing, predicates,
     /// groupability — into a vectorized [`ScanKernel`] evaluating whole
-    /// batches into u64 selection bitmaps. Selects exactly the rows the
-    /// scalar [`CompiledPartition::routed`] / `predicates_pass` /
-    /// `groupable` chain would.
+    /// batches into u64 selection bitmaps. Selects exactly the routed rows
+    /// that pass [`CompiledPartition::predicates_pass`] and carry every
+    /// `GROUP BY` attribute.
     pub fn scan_kernel(&self) -> ScanKernel {
         let routed = self.routes.iter().map(Option::is_some).collect();
         ScanKernel::new(routed, &self.group_attrs, &self.predicates)
-    }
-
-    /// True if every `GROUP BY` attribute of `ty` is present in `attrs`
-    /// (events missing one are ungroupable and dropped). Must only be
-    /// called for routed types. Shared by the same three paths as
-    /// [`CompiledPartition::predicates_pass`].
-    #[inline]
-    pub fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        self.group_attrs[ty.index()]
-            .iter()
-            .all(|a| attrs.get(a.index()).is_some())
     }
 
     /// Build the group key of a routed row into `key` (reusing the `vals`

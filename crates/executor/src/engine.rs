@@ -385,23 +385,20 @@ pub struct Engine<A: Aggregate> {
     /// state is force-closed. Empty on arrival-time engines (no gate —
     /// notices apply immediately).
     deferred_unsplits: Vec<(GroupKey, Timestamp)>,
-    /// Compiled scan kernel of the columnar pre-pass (`None` = the
-    /// scalar interpreter, per [`crate::scan::scan_mode`]).
-    scan: Option<ScanKernel>,
+    /// Compiled scan kernel of the columnar pre-pass.
+    scan: ScanKernel,
     /// Rows examined by this engine's columnar pre-pass.
     rows_scanned: u64,
     /// Rows that survived routing + predicates + groupability (before
-    /// shard-ownership filtering, so scalar and vector modes agree).
+    /// shard-ownership filtering, so every shard's tally partitions the
+    /// same selection).
     rows_selected: u64,
 }
 
 impl<A: Aggregate> Engine<A> {
     /// Build an engine from a compiled partition.
     pub fn new(part: CompiledPartition) -> Self {
-        let scan = match crate::scan::scan_mode() {
-            crate::scan::ScanMode::Vector => Some(part.scan_kernel()),
-            crate::scan::ScanMode::Scalar => None,
-        };
+        let scan = part.scan_kernel();
         Engine {
             part,
             groups: FxHashMap::default(),
@@ -1014,85 +1011,38 @@ impl<A: Aggregate> Engine<A> {
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        let selected = if let Some(kernel) = &mut self.scan {
-            // vectorized pre-pass: the kernel evaluates routing,
-            // predicates, and groupability into a selection bitmap;
-            // only a sharded engine still walks the survivors for
-            // key construction (ownership hashes the actual key)
-            match &self.shard {
-                None => {
-                    kernel.select_into(batch, 0, batch.len(), &mut sel);
-                    sel.len() as u64
-                }
-                Some(slice) => {
-                    let words = kernel.scan(batch, 0, batch.len());
-                    for (w, &word) in words.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let lane = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let row = w * 64 + lane;
-                            let ok = self.part.read_group_key(
-                                batch.ty(row),
-                                batch.attrs(row),
-                                &mut self.vals_scratch,
-                                &mut self.key_scratch,
-                            );
-                            debug_assert!(ok, "kernel-selected row must be groupable");
-                            if ok && slice.owns(&self.key_scratch) {
-                                sel.push(row as u32);
-                            }
-                        }
-                    }
-                    kernel.selected()
-                }
+        // the compiled kernel evaluates routing, predicates, and
+        // groupability into a selection bitmap; only a sharded engine
+        // still walks the survivors for key construction (ownership
+        // hashes the actual key)
+        let kernel = &mut self.scan;
+        let selected = match &self.shard {
+            None => {
+                kernel.select_into(batch, 0, batch.len(), &mut sel);
+                sel.len() as u64
             }
-        } else {
-            let mut selected = 0u64;
-            let tys = batch.types();
-            for (row, ty) in tys.iter().enumerate() {
-                if !self.part.routed(*ty) {
-                    continue;
-                }
-                let attrs = batch.attrs(row);
-                if !self.part.predicates_pass(*ty, attrs) {
-                    continue;
-                }
-                match &self.shard {
-                    // the unsharded pre-pass only filters on groupability,
-                    // deferring key construction to the stateful pass —
-                    // no second clone of the grouping values
-                    None => {
-                        if !self.part.groupable(*ty, attrs) {
-                            continue; // ungroupable event
-                        }
-                    }
-                    // a sharded engine needs the actual key (hashed for
-                    // ownership); `read_group_key` also filters ungroupables
-                    Some(slice) => {
-                        if !self.part.read_group_key(
-                            *ty,
-                            attrs,
+            Some(slice) => {
+                let words = kernel.scan(batch, 0, batch.len());
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let lane = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let row = w * 64 + lane;
+                        let ok = self.part.read_group_key(
+                            batch.ty(row),
+                            batch.attrs(row),
                             &mut self.vals_scratch,
                             &mut self.key_scratch,
-                        ) {
-                            continue; // ungroupable event
+                        );
+                        debug_assert!(ok, "kernel-selected row must be groupable");
+                        if ok && slice.owns(&self.key_scratch) {
+                            sel.push(row as u32);
                         }
-                        // counted before the ownership filter so scalar and
-                        // vector tallies agree (ownership is a shard-local
-                        // partition of the same selection)
-                        selected += 1;
-                        if !slice.owns(&self.key_scratch) {
-                            continue;
-                        }
-                        sel.push(row as u32);
-                        continue;
                     }
                 }
-                selected += 1;
-                sel.push(row as u32);
+                kernel.selected()
             }
-            selected
         };
         self.rows_scanned += batch.len() as u64;
         self.rows_selected += selected;
@@ -1561,8 +1511,8 @@ impl<A: Aggregate> Engine<A> {
     }
 
     /// `(rows_scanned, rows_selected)` of this engine's columnar
-    /// pre-pass — identical in scalar and vector scan modes (selection
-    /// is counted before any shard-ownership filtering).
+    /// pre-pass (selection is counted before any shard-ownership
+    /// filtering).
     pub fn scan_stats(&self) -> (u64, u64) {
         (self.rows_scanned, self.rows_selected)
     }

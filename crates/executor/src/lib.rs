@@ -55,11 +55,10 @@ pub use router::{
     SplitConfig, SplitSpec,
 };
 pub use runner::SegmentRunner;
-pub use scan::{scan_mode, set_scan_mode, ScanCounters, ScanKernel, ScanMode};
+pub use scan::{ScanCounters, ScanKernel};
 pub use sharded::{
-    default_pipeline_depth, default_routers, prepare_step, RouterStats, ShardProcessor,
-    ShardReport, ShardedExecutor, ShardedOptions, DEFAULT_BATCH_SIZE, DEFAULT_PIPELINE_DEPTH,
-    DEFAULT_ROUTERS,
+    default_routers, prepare_step, RouterStats, ShardProcessor, ShardReport, ShardedExecutor,
+    ShardedOptions, DEFAULT_BATCH_SIZE, DEFAULT_PIPELINE_DEPTH, DEFAULT_ROUTERS,
 };
 pub use spill::SpillConfig;
 pub use winvec::{Snapshot, WinVec};

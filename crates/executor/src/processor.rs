@@ -71,8 +71,10 @@ pub trait BatchProcessor: Send {
 
     /// Per-scope `(rows_scanned, rows_selected)` tallies of the stateless
     /// scan so far — one entry per routing scope (partition engine, query,
-    /// or baseline partition), in scope order. Identical in scalar and
-    /// vector scan modes; empty for strategies that do not track it.
+    /// or baseline partition), in scope order. Counted before any
+    /// shard-ownership filtering, so the sequential and sharded runtimes
+    /// of one workload report identical tallies; empty for strategies
+    /// that do not track it.
     fn scan_stats(&self) -> Vec<(u64, u64)> {
         Vec::new()
     }

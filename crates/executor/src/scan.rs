@@ -37,75 +37,15 @@
 //! (numeric vs. string, NaN comparisons) satisfies only `!=`, `Int` vs
 //! `Int` compares exactly in `i64` (no precision loss past 2^53), and
 //! mixed numeric comparisons go through `f64` exactly like
-//! [`Value::partial_cmp`]. The scalar interpreter stays available as the
-//! differential-testing oracle behind the `SHARON_SCAN` knob.
+//! [`Value::partial_cmp`]. Every executor's columnar path runs the
+//! kernel; the per-row interpreter survives only in the row-form
+//! `Engine::process` path and as the differential-testing oracle of the
+//! parity tests.
 
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::{AttrId, EventBatch, Value};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Which stateless-scan implementation the executors run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// The per-row interpreter loop (the differential-testing oracle).
-    Scalar,
-    /// Compiled [`ScanKernel`]s over u64 selection bitmaps (the default).
-    Vector,
-}
-
-impl std::str::FromStr for ScanMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" => Ok(ScanMode::Scalar),
-            "vector" => Ok(ScanMode::Vector),
-            other => Err(format!("must be `scalar` or `vector`, got `{other}`")),
-        }
-    }
-}
-
-/// Process-wide programmatic override of the scan mode (0 = none,
-/// 1 = scalar, 2 = vector). Tests use [`set_scan_mode`] instead of
-/// mutating the environment, which would race across test threads.
-static MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The scan mode to use when none is forced programmatically: the
-/// `SHARON_SCAN` environment variable if set (`scalar` or `vector`),
-/// [`ScanMode::Vector`] otherwise.
-///
-/// Read at component construction time, never on the hot path. An
-/// unparsable `SHARON_SCAN` panics rather than silently running the
-/// default mode — a bench matrix typo must not record numbers attributed
-/// to a scan mode that never ran.
-pub fn scan_mode() -> ScanMode {
-    match MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return ScanMode::Scalar,
-        2 => return ScanMode::Vector,
-        _ => {}
-    }
-    match std::env::var("SHARON_SCAN") {
-        Ok(s) => match s.as_str() {
-            "scalar" => ScanMode::Scalar,
-            "vector" => ScanMode::Vector,
-            other => panic!("SHARON_SCAN must be `scalar` or `vector`, got `{other}`"),
-        },
-        Err(_) => ScanMode::Vector,
-    }
-}
-
-/// Force the scan mode for components constructed from now on (`None`
-/// returns control to the `SHARON_SCAN` environment variable). Tests use
-/// this to build scalar and vector executors side by side in one process.
-pub fn set_scan_mode(mode: Option<ScanMode>) {
-    let v = match mode {
-        None => 0,
-        Some(ScanMode::Scalar) => 1,
-        Some(ScanMode::Vector) => 2,
-    };
-    MODE_OVERRIDE.store(v, Ordering::Relaxed);
-}
 
 /// Per-scope stateless-scan tallies, shared between a [`crate::BatchRouter`]
 /// (which may live on a dedicated router thread) and the
@@ -364,9 +304,6 @@ impl ScanKernel {
                 *word = bits;
             }
         }
-        if self.clauses.is_empty() || self.words.iter().all(|&w| w == 0) {
-            return &self.words;
-        }
 
         // pass 2: predicate clauses, fused with AND/ANDNOT. Each clause's
         // working mask is the union of its types' membership bitmaps
@@ -375,10 +312,14 @@ impl ScanKernel {
         // Clauses are sorted by (slots, attr): the gather runs once per
         // distinct (type set, attr) run, and because the selection only
         // ever shrinks, a gather taken at the first clause of a run covers
-        // every later clause's (smaller) mask.
+        // every later clause's (smaller) mask. Once the selection is
+        // empty the loop stops: no later clause can select anything.
         let mut cur: Option<(&[u32], u32)> = None;
         let values = batch.values();
         for clause in self.clauses.iter() {
+            if self.words.iter().all(|&w| w == 0) {
+                break; // nothing left selected: no later clause can matter
+            }
             self.ty_match.clear();
             self.ty_match.resize(n_words, 0);
             for &s in clause.slots.iter() {
@@ -610,7 +551,8 @@ mod tests {
     use super::*;
     use sharon_types::{EventTypeId, Timestamp};
 
-    /// The scalar oracle: exactly the interpreter the engines run.
+    /// The scalar oracle: exactly the per-row interpreter of the row-form
+    /// `Engine::process` path.
     fn scalar_select(
         routed: &[bool],
         group_attrs: &[Box<[AttrId]>],
@@ -780,16 +722,6 @@ mod tests {
         let mut sel = Vec::new();
         extract_into(&words, 10, &mut sel);
         assert_eq!(sel, vec![10, 13, 74]);
-    }
-
-    #[test]
-    fn scan_mode_override_wins_over_env() {
-        set_scan_mode(Some(ScanMode::Scalar));
-        assert_eq!(scan_mode(), ScanMode::Scalar);
-        set_scan_mode(Some(ScanMode::Vector));
-        assert_eq!(scan_mode(), ScanMode::Vector);
-        set_scan_mode(None);
-        let _ = scan_mode(); // falls back to env/default without panicking
     }
 
     /// Side-by-side timing of the kernel vs the scalar interpreter on a

@@ -70,8 +70,8 @@ pub fn router_stall_waits() -> u64 {
     ROUTER_STALL_WAITS.load(Ordering::Relaxed)
 }
 
-/// Total rows examined by stateless scans (scalar or vectorized): one
-/// unit per row per routing scope that scanned it.
+/// Total rows examined by stateless scans: one unit per row per routing
+/// scope that scanned it.
 static ROWS_SCANNED: AtomicU64 = AtomicU64::new(0);
 
 /// Record `n` scanned rows (called by the columnar pre-passes and the
@@ -88,7 +88,7 @@ pub fn rows_scanned() -> u64 {
 
 /// Total rows that survived a stateless scan — passed routing, predicates,
 /// and groupability of some scope (counted before shard-ownership
-/// filtering, so scalar and vectorized scans tally identically).
+/// filtering, so sequential and sharded runs tally identically).
 static ROWS_SELECTED: AtomicU64 = AtomicU64::new(0);
 
 /// Record `n` selected rows.

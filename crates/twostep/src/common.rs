@@ -13,10 +13,21 @@
 
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
-use sharon_executor::{RowFilter, ScanKernel};
+use sharon_executor::{RowFilter, ScanKernel, ShardedOptions};
 use sharon_query::{clause_passes, CmpOp, Query};
 use sharon_types::{AttrId, Catalog, EventTypeId, GroupKey, Value};
 use std::collections::HashMap;
+
+/// Refuse durability options on a sharded two-step baseline: its shard
+/// processors cannot serialize their state, and silently running without
+/// the asked-for checkpoints, spill tier, or fault injection would be
+/// worse than refusing.
+pub(crate) fn assert_durability_free(options: &ShardedOptions, baseline: &str) {
+    assert!(
+        options.checkpoint.is_none() && options.spill.is_none() && options.fault.is_none(),
+        "the {baseline} two-step baseline does not support checkpoint/spill/fault options"
+    );
+}
 
 /// Per-event-type resolved clauses for one query or partition.
 #[derive(Debug, Clone, Default)]
@@ -121,14 +132,6 @@ impl TypeTable {
             Some(preds) => preds
                 .iter()
                 .all(|(attr, op, lit)| clause_passes(*op, attrs.get(attr.index()), lit)),
-            None => true,
-        }
-    }
-
-    /// True if every `GROUP BY` attribute of `ty` is present in `attrs`.
-    pub fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        match self.group_attrs.get(ty.index()) {
-            Some(gattrs) => gattrs.iter().all(|a| attrs.get(a.index()).is_some()),
             None => true,
         }
     }
@@ -314,21 +317,6 @@ pub(crate) fn dedup_scopes(scopes: Vec<ScopeFilter>) -> (Vec<ScopeFilter>, Vec<V
 
 impl RowFilter for ScopeFilter {
     #[inline]
-    fn routed(&self, ty: EventTypeId) -> bool {
-        self.routed.get(ty.index()).copied().unwrap_or(false)
-    }
-
-    #[inline]
-    fn predicates_pass(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        self.table.passes(ty, attrs)
-    }
-
-    #[inline]
-    fn groupable(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        self.table.groupable(ty, attrs)
-    }
-
-    #[inline]
     fn read_group_key(
         &self,
         ty: EventTypeId,
@@ -339,8 +327,8 @@ impl RowFilter for ScopeFilter {
         self.table.read_group_key(ty, attrs, vals, key)
     }
 
-    fn scan_kernel(&self) -> Option<ScanKernel> {
-        Some(self.compile_scan())
+    fn scan_kernel(&self) -> ScanKernel {
+        self.compile_scan()
     }
 
     fn route_cost(&self) -> f64 {

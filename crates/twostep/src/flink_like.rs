@@ -20,14 +20,14 @@
 //! routing scopes are deduplicated so the router scans each distinct
 //! scope once per batch.
 
-use crate::common::{dedup_scopes, ScopeFilter, TypeTable};
+use crate::common::{assert_durability_free, dedup_scopes, ScopeFilter, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
     split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, SplitConfig, DEFAULT_BATCH_SIZE,
+    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, Workload};
 use sharon_types::{
@@ -62,9 +62,8 @@ struct QueryState<A> {
     sel_scratch: Vec<u32>,
     /// Reused emission buffer for closing windows.
     emit_scratch: Vec<(u64, A)>,
-    /// Compiled scan kernel of the columnar pre-pass (`None` = the
-    /// scalar interpreter, per [`sharon_executor::scan_mode`]).
-    scan: Option<ScanKernel>,
+    /// Compiled scan kernel of the columnar pre-pass.
+    scan: ScanKernel,
     /// Rows examined by this query's columnar pre-pass.
     rows_scanned: u64,
     /// Rows that survived routing + predicates + groupability.
@@ -93,14 +92,11 @@ impl<A: Aggregate> QueryState<A> {
             AggFunc::Avg(t, _) => OutputKind::Avg(q.pattern.positions_of(*t).len() as u32),
         };
         let table = TypeTable::build(catalog, q)?;
-        let scan = match sharon_executor::scan_mode() {
-            sharon_executor::ScanMode::Vector => Some(ScanKernel::new(
-                positions.iter().map(|p| !p.is_empty()).collect(),
-                &table.group_attrs,
-                &table.predicates,
-            )),
-            sharon_executor::ScanMode::Scalar => None,
-        };
+        let scan = ScanKernel::new(
+            positions.iter().map(|p| !p.is_empty()).collect(),
+            &table.group_attrs,
+            &table.predicates,
+        );
         Ok(QueryState {
             id: q.id,
             window: q.window,
@@ -217,23 +213,7 @@ impl<A: Aggregate> QueryState<A> {
     fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        if let Some(kernel) = &mut self.scan {
-            kernel.select_into(batch, 0, batch.len(), &mut sel);
-        } else {
-            for (row, ty) in batch.types().iter().enumerate() {
-                if self.positions.get(ty.index()).is_none_or(|p| p.is_empty()) {
-                    continue;
-                }
-                let attrs = batch.attrs(row);
-                if !self.table.passes(*ty, attrs) {
-                    continue;
-                }
-                if !self.table.groupable(*ty, attrs) {
-                    continue;
-                }
-                sel.push(row as u32);
-            }
-        }
+        self.scan.select_into(batch, 0, batch.len(), &mut sel);
         self.rows_scanned += batch.len() as u64;
         self.rows_selected += sel.len() as u64;
         sharon_metrics::record_rows_scanned(batch.len() as u64);
@@ -402,71 +382,25 @@ impl FlinkLike {
     /// what keeps the routing stage from becoming the serial bottleneck
     /// on many-query workloads (the shape the paper's Flink baseline
     /// degrades on: per-query work where shared work would do).
+    ///
+    /// `options` sets the batch size, pipeline depth, routing-plane size
+    /// (the deduplicated scopes are cost-partitioned across
+    /// `options.routers` router threads, see [`split_router_plane`]) and
+    /// optional event-time lateness: when set, each shard worker gates
+    /// its pre-routed rows behind the router's merged cross-shard
+    /// frontier, so bounded disorder up to the lateness is absorbed
+    /// exactly and later rows are dropped and counted.
+    ///
+    /// Panics when `options` asks for checkpoints, a spill tier, or fault
+    /// injection: the baseline cannot serialize its state, and silently
+    /// running without durability would be worse than refusing.
     pub fn sharded(
         catalog: &Catalog,
         workload: &Workload,
         n_shards: usize,
+        options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_batch_size(catalog, workload, n_shards, DEFAULT_BATCH_SIZE)
-    }
-
-    /// [`FlinkLike::sharded`] with an explicit flush threshold.
-    pub fn sharded_with_batch_size(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-        batch_size: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_pipeline(
-            catalog,
-            workload,
-            n_shards,
-            batch_size,
-            sharon_executor::default_pipeline_depth(),
-            None,
-        )
-    }
-
-    /// [`FlinkLike::sharded_with_batch_size`] with an explicit ingest
-    /// pipeline depth (`0` = in-line routing; see
-    /// [`ShardedExecutor::from_parts_with`]) and optional event-time
-    /// lateness: when set, each shard worker gates its pre-routed rows
-    /// behind the router's merged cross-shard frontier, so bounded
-    /// disorder up to the lateness is absorbed exactly and later rows are
-    /// dropped and counted.
-    pub fn sharded_with_pipeline(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_routing(
-            catalog,
-            workload,
-            n_shards,
-            batch_size,
-            pipeline_depth,
-            lateness,
-            1,
-        )
-    }
-
-    /// [`FlinkLike::sharded_with_pipeline`] with an explicit routing-plane
-    /// size: the deduplicated scopes are cost-partitioned across `routers`
-    /// router threads ([`split_router_plane`]); `routers > 1` requires a
-    /// pipelined ingest stage (`pipeline_depth >= 1`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sharded_with_routing(
-        catalog: &Catalog,
-        workload: &Workload,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-        routers: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
+        assert_durability_free(options, "Flink");
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
@@ -479,24 +413,19 @@ impl FlinkLike {
             .map(|q| ScopeFilter::build(catalog, &[q]))
             .collect::<Result<Vec<_>, _>>()?;
         let (scopes, subscribers) = dedup_scopes(scopes);
-        let plane = split_router_plane(scopes, n_shards, SplitConfig::default(), routers);
+        let plane = split_router_plane(scopes, n_shards, options.split, options.routers);
         let shards = (0..n_shards)
             .map(|_| {
                 FlinkLike::new(catalog, workload).map(|f| {
                     Box::new(ScopeFanShard {
                         inner: f,
                         subscribers: subscribers.clone(),
-                        gate: lateness.map(Reorder::new),
+                        gate: options.lateness.map(Reorder::new),
                     }) as Box<dyn ShardProcessor>
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedExecutor::from_parts_multi(
-            plane,
-            shards,
-            batch_size,
-            pipeline_depth,
-        ))
+        Ok(ShardedExecutor::from_parts(plane, shards, options.clone()))
     }
 
     /// Stateful dispatch of one deduplicated routing scope's pre-routed
@@ -912,7 +841,7 @@ mod tests {
         assert!(got.semantically_eq(&want, 1e-9));
 
         // sharded route-once agrees too
-        let mut sharded = FlinkLike::sharded(&c, &w, 3).unwrap();
+        let mut sharded = FlinkLike::sharded(&c, &w, 3, &ShardedOptions::default()).unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -923,7 +852,7 @@ mod tests {
         // eight queries sharing one routing scope (same pattern + GROUP
         // BY, different windows): the sharded runtime routes the scope
         // once and every query still gets its full selection — results
-        // identical to the sequential baseline, in both routing modes
+        // identical to the sequential baseline
         let mut c = Catalog::new();
         c.register_with_schema("A", sharon_types::Schema::new(["g"]));
         c.register_with_schema("B", sharon_types::Schema::new(["g"]));
@@ -956,21 +885,22 @@ mod tests {
         assert!(!want.is_empty());
 
         let batch = EventBatch::from_events(&events);
-        for depth in [0usize, 2] {
-            let mut sharded =
-                FlinkLike::sharded_with_pipeline(&c, &w, 3, 128, depth, None).unwrap();
-            sharded.process_columnar(&batch);
-            let got = sharded.finish();
+        let options = ShardedOptions {
+            batch_size: 128,
+            ..ShardedOptions::default()
+        };
+        let mut sharded = FlinkLike::sharded(&c, &w, 3, &options).unwrap();
+        sharded.process_columnar(&batch);
+        let got = sharded.finish();
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "deduplicated sharded baseline diverges"
+        );
+        for q in w.ids() {
             assert!(
-                got.semantically_eq(&want, 1e-9),
-                "depth {depth}: deduplicated sharded baseline diverges"
+                got.total_count(q) > 0,
+                "query {q} received its fanned-out selection"
             );
-            for q in w.ids() {
-                assert!(
-                    got.total_count(q) > 0,
-                    "depth {depth}: query {q} received its fanned-out selection"
-                );
-            }
         }
     }
 }

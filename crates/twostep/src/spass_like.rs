@@ -21,14 +21,14 @@
 //! worker behind a scope-fanning [`ShardProcessor`] wrapper, with
 //! identical routing scopes deduplicated.
 
-use crate::common::{dedup_scopes, ScopeFilter, TypeTable};
+use crate::common::{assert_durability_free, dedup_scopes, ScopeFilter, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
     split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, SplitConfig, DEFAULT_BATCH_SIZE,
+    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{
@@ -91,9 +91,8 @@ struct Partition<A> {
     emit_scratch: Vec<(u64, A)>,
     /// Reused buffer for the segment matches a single END row constructs.
     match_scratch: Vec<Match<A>>,
-    /// Compiled scan kernel of the columnar pre-pass (`None` = the
-    /// scalar interpreter, per [`sharon_executor::scan_mode`]).
-    scan: Option<ScanKernel>,
+    /// Compiled scan kernel of the columnar pre-pass.
+    scan: ScanKernel,
     /// Rows examined by this partition's columnar pre-pass.
     rows_scanned: u64,
     /// Rows that survived routing + predicates + groupability.
@@ -188,14 +187,7 @@ impl<A: Aggregate> Partition<A> {
             finalists[*q.stages.last().expect("patterns are non-empty")].push(qi);
         }
         let routed = crate::common::routed_bitmap(queries);
-        let scan = match sharon_executor::scan_mode() {
-            sharon_executor::ScanMode::Vector => Some(ScanKernel::new(
-                routed.clone(),
-                &table.group_attrs,
-                &table.predicates,
-            )),
-            sharon_executor::ScanMode::Scalar => None,
-        };
+        let scan = ScanKernel::new(routed.clone(), &table.group_attrs, &table.predicates);
         Ok(Partition {
             window,
             table,
@@ -343,23 +335,7 @@ impl<A: Aggregate> Partition<A> {
     fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
         let mut sel = std::mem::take(&mut self.sel_scratch);
         sel.clear();
-        if let Some(kernel) = &mut self.scan {
-            kernel.select_into(batch, 0, batch.len(), &mut sel);
-        } else {
-            for (row, ty) in batch.types().iter().enumerate() {
-                if !self.routed.get(ty.index()).copied().unwrap_or(false) {
-                    continue;
-                }
-                let attrs = batch.attrs(row);
-                if !self.table.passes(*ty, attrs) {
-                    continue;
-                }
-                if !self.table.groupable(*ty, attrs) {
-                    continue;
-                }
-                sel.push(row as u32);
-            }
-        }
+        self.scan.select_into(batch, 0, batch.len(), &mut sel);
         self.rows_scanned += batch.len() as u64;
         self.rows_selected += sel.len() as u64;
         sharon_metrics::record_rows_scanned(batch.len() as u64);
@@ -599,77 +575,18 @@ impl SpassLike {
     /// `GROUP BY` clauses coincide (partitions differing only in window
     /// or aggregate, say) share one routing scope, scanned once per batch
     /// and fanned out to every subscribing partition on the worker side.
+    ///
+    /// `options` sets the batch size, pipeline depth, routing-plane size
+    /// and event-time lateness exactly as for [`crate::FlinkLike::sharded`],
+    /// which also refuses durability options the same way.
     pub fn sharded(
         catalog: &Catalog,
         workload: &Workload,
         plan: &SharingPlan,
         n_shards: usize,
+        options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_batch_size(catalog, workload, plan, n_shards, DEFAULT_BATCH_SIZE)
-    }
-
-    /// [`SpassLike::sharded`] with an explicit flush threshold.
-    pub fn sharded_with_batch_size(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_pipeline(
-            catalog,
-            workload,
-            plan,
-            n_shards,
-            batch_size,
-            sharon_executor::default_pipeline_depth(),
-            None,
-        )
-    }
-
-    /// [`SpassLike::sharded_with_batch_size`] with an explicit ingest
-    /// pipeline depth (`0` = in-line routing; see
-    /// [`ShardedExecutor::from_parts_with`]) and optional event-time
-    /// lateness: when set, each shard worker gates its pre-routed rows
-    /// behind the router's merged cross-shard frontier, so bounded
-    /// disorder up to the lateness is absorbed exactly and later rows are
-    /// dropped and counted.
-    pub fn sharded_with_pipeline(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-    ) -> Result<ShardedExecutor, CompileError> {
-        Self::sharded_with_routing(
-            catalog,
-            workload,
-            plan,
-            n_shards,
-            batch_size,
-            pipeline_depth,
-            lateness,
-            1,
-        )
-    }
-
-    /// [`SpassLike::sharded_with_pipeline`] with an explicit routing-plane
-    /// size: the deduplicated scopes are cost-partitioned across `routers`
-    /// router threads ([`split_router_plane`]); `routers > 1` requires a
-    /// pipelined ingest stage (`pipeline_depth >= 1`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sharded_with_routing(
-        catalog: &Catalog,
-        workload: &Workload,
-        plan: &SharingPlan,
-        n_shards: usize,
-        batch_size: usize,
-        pipeline_depth: usize,
-        lateness: Option<u64>,
-        routers: usize,
-    ) -> Result<ShardedExecutor, CompileError> {
+        assert_durability_free(options, "SPASS");
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
@@ -682,24 +599,19 @@ impl SpassLike {
             .map(|qs| ScopeFilter::build(catalog, qs))
             .collect::<Result<Vec<_>, _>>()?;
         let (scopes, subscribers) = dedup_scopes(scopes);
-        let plane = split_router_plane(scopes, n_shards, SplitConfig::default(), routers);
+        let plane = split_router_plane(scopes, n_shards, options.split, options.routers);
         let shards = (0..n_shards)
             .map(|_| {
                 SpassLike::new(catalog, workload, plan).map(|s| {
                     Box::new(ScopeFanShard {
                         inner: s,
                         subscribers: subscribers.clone(),
-                        gate: lateness.map(Reorder::new),
+                        gate: options.lateness.map(Reorder::new),
                     }) as Box<dyn ShardProcessor>
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedExecutor::from_parts_multi(
-            plane,
-            shards,
-            batch_size,
-            pipeline_depth,
-        ))
+        Ok(ShardedExecutor::from_parts(plane, shards, options.clone()))
     }
 
     /// Stateful dispatch of one deduplicated routing scope's pre-routed
@@ -1118,7 +1030,7 @@ mod tests {
         let got = columnar.finish();
         assert!(got.semantically_eq(&want, 1e-9));
 
-        let mut sharded = SpassLike::sharded(&c, &w, &plan, 3).unwrap();
+        let mut sharded = SpassLike::sharded(&c, &w, &plan, 3, &ShardedOptions::default()).unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));

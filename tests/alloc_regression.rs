@@ -17,8 +17,8 @@
 use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
-    compile, set_scan_mode, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ScanMode,
-    ShardSlice, SplitConfig,
+    compile, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ShardSlice, ShardedOptions,
+    SplitConfig,
 };
 use sharon_metrics::{alloc, TrackingAllocator};
 use std::sync::{Arc, Mutex};
@@ -140,22 +140,20 @@ fn columnar_hot_path_is_allocation_free_after_warmup() {
 
 #[test]
 fn scan_kernel_path_is_allocation_free_in_both_modes() {
-    // the compiled-scan tentpole's steady-state promise, crossed over
-    // SHARON_SCAN: with a predicate clause in play (so the vector path
-    // runs the full bitmap pipeline — routing pass, gather scratch,
-    // clause fold, extraction — not just the clause-free early return),
-    // both the scalar interpreter and the kernel stay at zero
+    // the compiled scan's steady-state promise, in both of the columnar
+    // pre-pass's modes — an unsharded engine (the kernel extracts the
+    // selection directly) and a shard-slice engine (the survivors are
+    // walked for key construction and ownership): with a predicate clause
+    // in play, so the kernel runs the full bitmap pipeline — routing
+    // pass, gather scratch, clause fold, extraction — both stay at zero
     // allocations per batch once warmed up
     let _serial = serial();
-    struct ResetMode;
-    impl Drop for ResetMode {
-        fn drop(&mut self) {
-            set_scan_mode(None);
-        }
-    }
-    let _reset = ResetMode;
-    for mode in [ScanMode::Scalar, ScanMode::Vector] {
-        set_scan_mode(Some(mode));
+    let whole = ShardSlice {
+        index: 0,
+        of: 1,
+        owns_global: true,
+    };
+    for (mode, shard) in [("unsharded", None), ("shard-slice", Some(whole))] {
         let mut catalog = Catalog::new();
         catalog.register_with_schema("A", Schema::new(["g", "v"]));
         let workload = parse_workload(
@@ -163,7 +161,8 @@ fn scan_kernel_path_is_allocation_free_in_both_modes() {
             ["RETURN COUNT(*) PATTERN SEQ(A) WHERE A.v >= 0 GROUP BY g WITHIN 8 ms SLIDE 4 ms"],
         )
         .unwrap();
-        let mut executor = Executor::non_shared(&catalog, &workload).unwrap();
+        let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
+        let mut executor = EngineKind::for_partition(parts[0].clone(), shard);
 
         let (warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
         let (measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
@@ -181,7 +180,7 @@ fn scan_kernel_path_is_allocation_free_in_both_modes() {
         });
         assert_eq!(
             allocs, 0,
-            "steady-state {mode:?} scan must not allocate \
+            "steady-state {mode} scan must not allocate \
              ({MEASURED_BATCHES} batches of {BATCH_ROWS} events performed {allocs} allocations)"
         );
         // `v` is always >= 0, so the predicate filters nothing: every
@@ -189,16 +188,16 @@ fn scan_kernel_path_is_allocation_free_in_both_modes() {
         assert_eq!(
             executor.events_matched() - matched_before,
             (MEASURED_BATCHES * BATCH_ROWS) as u64,
-            "{mode:?}: every measured event passed the scan"
+            "{mode}: every measured event passed the scan"
         );
-        let (scanned, selected) = executor.scan_stats()[0];
+        let (scanned, selected) = executor.scan_stats();
         assert_eq!(
             (scanned, selected),
             (
                 ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
                 ((WARMUP_BATCHES + MEASURED_BATCHES) * BATCH_ROWS) as u64,
             ),
-            "{mode:?}: scan tallies cover every row"
+            "{mode}: scan tallies cover every row"
         );
     }
 }
@@ -856,8 +855,8 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     // 64 queries sharing one routing scope (same SEQ(A, B) + GROUP BY,
     // windows differ): scope dedup collapses them to ONE router scope, so
     // the router performs exactly 1 scope scan per batch — not 64 —
-    // measured via the metrics scan counter, in both routing modes, with
-    // results still identical to the sequential baseline.
+    // measured via the metrics scan counter, with results still identical
+    // to the sequential baseline.
     let _serial = serial();
     let mut catalog = Catalog::new();
     catalog.register_with_schema("A", Schema::new(["g", "v"]));
@@ -891,24 +890,24 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
     let want = sequential.finish();
     assert!(!want.is_empty());
 
-    for depth in [0usize, 2] {
-        let mut sharded =
-            FlinkLike::sharded_with_pipeline(&catalog, &workload, 3, BATCH_SIZE, depth, None)
-                .unwrap();
-        let scans_before = sharon_metrics::router_scope_scans();
-        sharded.process_shared(&shared);
-        let got = sharded.finish(); // drains the pipeline: all chunks routed
-        let scans = sharon_metrics::router_scope_scans() - scans_before;
-        assert_eq!(
-            scans, BATCHES as u64,
-            "depth {depth}: 64 identical-scope queries must cost exactly one \
-             scope scan per batch ({BATCHES} batches performed {scans} scans)"
-        );
-        assert!(
-            got.semantically_eq(&want, 1e-9),
-            "depth {depth}: deduplicated routing changed the results"
-        );
-    }
+    let options = ShardedOptions {
+        batch_size: BATCH_SIZE,
+        ..ShardedOptions::default()
+    };
+    let mut sharded = FlinkLike::sharded(&catalog, &workload, 3, &options).unwrap();
+    let scans_before = sharon_metrics::router_scope_scans();
+    sharded.process_shared(&shared);
+    let got = sharded.finish(); // drains the pipeline: all chunks routed
+    let scans = sharon_metrics::router_scope_scans() - scans_before;
+    assert_eq!(
+        scans, BATCHES as u64,
+        "64 identical-scope queries must cost exactly one scope scan per batch \
+         ({BATCHES} batches performed {scans} scans)"
+    );
+    assert!(
+        got.semantically_eq(&want, 1e-9),
+        "deduplicated routing changed the results"
+    );
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! neither the batch form nor sharding is ever a semantics change.
 
 use proptest::prelude::*;
+use sharon::executor::ShardedOptions;
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
@@ -160,7 +161,8 @@ fn assert_baseline_forms_agree(
         want.len(),
     );
     for shards in [1usize, 2, 8] {
-        let mut sharded = FlinkLike::sharded(catalog, workload, shards).unwrap();
+        let mut sharded =
+            FlinkLike::sharded(catalog, workload, shards, &ShardedOptions::default()).unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(
@@ -186,7 +188,9 @@ fn assert_baseline_forms_agree(
         want.len(),
     );
     for shards in [1usize, 2, 8] {
-        let mut sharded = SpassLike::sharded(catalog, workload, &plan, shards).unwrap();
+        let mut sharded =
+            SpassLike::sharded(catalog, workload, &plan, shards, &ShardedOptions::default())
+                .unwrap();
         sharded.process_columnar(&batch);
         let got = sharded.finish();
         assert!(
@@ -323,7 +327,11 @@ proptest! {
         );
 
         // a small flush threshold forces mid-stream route-once fan-outs
-        let mut sharded = FlinkLike::sharded_with_batch_size(&c, &w, shards, 13).unwrap();
+        let options = ShardedOptions {
+            batch_size: 13,
+            ..ShardedOptions::default()
+        };
+        let mut sharded = FlinkLike::sharded(&c, &w, shards, &options).unwrap();
         for b in &batches {
             sharded.process_columnar(b);
         }
@@ -341,7 +349,7 @@ proptest! {
         }
         let want = reference.finish();
 
-        let mut sharded = SpassLike::sharded_with_batch_size(&c, &w, &plan, shards, 13).unwrap();
+        let mut sharded = SpassLike::sharded(&c, &w, &plan, shards, &options).unwrap();
         for b in &batches {
             sharded.process_columnar(b);
         }

@@ -12,8 +12,8 @@
 //! - the initial workload's handles own every window, across any number
 //!   of plan hot-swaps.
 //!
-//! Checked on all three paper streams (TX, LR, EC), across shard counts
-//! and ingest pipeline depths, for: forced hot-swap mid-stream, attach at
+//! Checked on all three paper streams (TX, LR, EC), across shard counts,
+//! for: forced hot-swap mid-stream, attach at
 //! an offset (fresh signature → sidecar, equal signature → alias fast
 //! path), detach (sidecar state freed immediately, shared queries keep
 //! their closed windows), a fully scripted churn scenario with metric
@@ -220,27 +220,24 @@ fn hot_swap_mid_stream_matches_uninterrupted() {
         let want = static_run(&s.catalog, &s.workload, &s.rates, &s.events);
         assert!(!want.is_empty(), "{}: reference produces results", s.label);
         for &shards in &support::shard_counts(&[1, 2]) {
-            for &depth in &support::pipeline_depths() {
-                let ctx = format!("{}/shards{shards}/pipe{depth}", s.label);
-                let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
-                    .shards(shards)
-                    .pipeline_depth(depth)
-                    .session(SessionConfig::default())
-                    .expect("session starts");
-                let half = s.events.len() / 2;
-                feed(&mut session, &s.events, 0, half);
-                session.reoptimize_now();
-                feed(&mut session, &s.events, half, s.events.len());
-                assert!(session.reoptimizations() >= 1, "{ctx}: re-optimized");
-                assert!(session.plan_swaps() >= 1, "{ctx}: plan hot-swapped");
-                let got = session.finish();
-                assert!(
-                    got.semantically_eq(&want, 1e-9),
-                    "{ctx}: swapped run diverges from uninterrupted ({} vs {} results)",
-                    got.len(),
-                    want.len(),
-                );
-            }
+            let ctx = format!("{}/shards{shards}", s.label);
+            let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
+                .shards(shards)
+                .session(SessionConfig::default())
+                .expect("session starts");
+            let half = s.events.len() / 2;
+            feed(&mut session, &s.events, 0, half);
+            session.reoptimize_now();
+            feed(&mut session, &s.events, half, s.events.len());
+            assert!(session.reoptimizations() >= 1, "{ctx}: re-optimized");
+            assert!(session.plan_swaps() >= 1, "{ctx}: plan hot-swapped");
+            let got = session.finish();
+            assert!(
+                got.semantically_eq(&want, 1e-9),
+                "{ctx}: swapped run diverges from uninterrupted ({} vs {} results)",
+                got.len(),
+                want.len(),
+            );
         }
     }
 }
@@ -261,7 +258,6 @@ fn hot_swap_holds_for_greedy_and_non_shared() {
         let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
             .strategy(strategy)
             .shards(2)
-            .pipeline_depth(0)
             .session(SessionConfig::default())
             .expect("session starts");
         let third = s.events.len() / 3;
@@ -298,7 +294,6 @@ fn attach_at_offset_matches_static_for_complete_windows() {
             let ctx = format!("{}/shards{shards}", s.label);
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
-                .pipeline_depth(0)
                 .session(SessionConfig::default())
                 .expect("session starts");
             let k = s.events.len() / 3;
@@ -338,7 +333,6 @@ fn alias_attach_takes_fast_path_and_mirrors_source() {
 
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
         .session(SessionConfig::default())
         .expect("session starts");
     let k = s.events.len() / 3;
@@ -395,7 +389,6 @@ fn detach_frees_sidecar_state() {
 
     let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
         .session(SessionConfig::default())
         .expect("session starts");
     let (k1, k2) = (s.events.len() / 4, s.events.len() / 2);
@@ -434,7 +427,6 @@ fn detach_shared_query_keeps_closed_windows() {
 
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
         .session(SessionConfig::default())
         .expect("session starts");
     let k = s.events.len() / 2;
@@ -478,7 +470,6 @@ fn scripted_churn_matches_static_reference() {
             let ctx = format!("{}/shards{shards}", s.label);
             let mut session = SharonBuilder::new(&catalog, &s.workload, &s.rates)
                 .shards(shards)
-                .pipeline_depth(0)
                 .session(SessionConfig::default())
                 .expect("session starts");
             let len = s.events.len();
@@ -545,7 +536,6 @@ fn drain_epochs_are_disjoint_and_complete() {
 
     let mut session = SharonBuilder::new(&s.catalog, &s.workload, &s.rates)
         .shards(2)
-        .pipeline_depth(0)
         .session(SessionConfig::default())
         .expect("session starts");
     let len = s.events.len();

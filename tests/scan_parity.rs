@@ -1,8 +1,8 @@
-//! Scalar-vs-vector scan parity: the compiled [`ScanKernel`] bitmap path
-//! must select exactly the rows the per-row interpreter selects — not
-//! "equivalent" rows, the *same* rows, row for row — and the executors
-//! built under `SHARON_SCAN=scalar` and `SHARON_SCAN=vector` must produce
-//! semantically equal results and identical scan tallies.
+//! Scan parity: the compiled [`ScanKernel`] bitmap path every executor
+//! runs must select exactly the rows the per-row interpreter selects —
+//! not "equivalent" rows, the *same* rows, row for row. The interpreter
+//! lives on here (and in the row-form `Engine::process` path) as the
+//! oracle.
 //!
 //! Three layers of evidence:
 //!
@@ -15,10 +15,12 @@
 //! 2. **Row-for-row parity on the paper streams** — every compiled
 //!    partition of predicate-bearing TX / LR / EC workloads, kernel vs
 //!    interpreter, over ragged chunkings of the generated stream.
-//! 3. **End-to-end mode equivalence** — sequential, sharded, Flink-like,
-//!    and SPASS-like executors built under forced scalar vs vector modes
-//!    agree (`semantically_eq`) and report identical per-scope
-//!    `(rows_scanned, rows_selected)` tallies on all three streams.
+//! 3. **End-to-end equivalence** — on all three streams, sequential,
+//!    sharded, Flink-like, and SPASS-like executors agree
+//!    (`semantically_eq`) with the per-event A-Seq reference; the
+//!    sequential executor's per-partition `(rows_scanned, rows_selected)`
+//!    tallies equal the interpreter's counts over the compiled
+//!    partitions, and the sharded runtime reports the same tallies.
 
 use proptest::prelude::{prop, prop_oneof, proptest, Just, ProptestConfig};
 use proptest::strategy::Strategy as _;
@@ -27,32 +29,12 @@ use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
 use sharon::streams::taxi::{self, TaxiConfig};
 use sharon::twostep::{FlinkLike, SpassLike};
-use sharon_executor::{compile, set_scan_mode, ScanKernel, ScanMode};
+use sharon_executor::{compile, CompiledPartition, ScanKernel};
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::AttrId;
-use std::sync::Mutex;
-
-/// The scan-mode override is process-global: tests that force a mode hold
-/// this lock for their full body and restore the environment default on
-/// drop (poisoning is harmless — the guard protects only serialization).
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-struct ModeGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
-
-impl ModeGuard {
-    fn hold() -> Self {
-        ModeGuard(MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl Drop for ModeGuard {
-    fn drop(&mut self) {
-        set_scan_mode(None);
-    }
-}
 
 /// The per-row interpreter, spelled out: exactly the `routed` →
-/// `predicates_pass` → `groupable` walk the scalar engines run.
+/// `predicates_pass` → `groupable` walk of the row-form engine path.
 fn scalar_select(
     routed: &[bool],
     group_attrs: &[Box<[AttrId]>],
@@ -190,6 +172,11 @@ fn ragged_ranges(n: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// The routing-type bitmap of a compiled partition.
+fn routed_types(part: &CompiledPartition) -> Vec<bool> {
+    part.routes.iter().map(Option::is_some).collect()
+}
+
 /// Kernel vs interpreter, row for row, on every compiled partition of a
 /// real stream's workload.
 fn assert_stream_kernel_parity(
@@ -202,15 +189,9 @@ fn assert_stream_kernel_parity(
     let mut selected_any = false;
     for (pi, part) in parts.iter().enumerate() {
         let mut kernel = part.scan_kernel();
+        let routed = routed_types(part);
         for (lo, hi) in ragged_ranges(batch.len()) {
-            let mut want = Vec::new();
-            for row in lo..hi {
-                let ty = batch.ty(row);
-                let attrs = batch.attrs(row);
-                if part.routed(ty) && part.predicates_pass(ty, attrs) && part.groupable(ty, attrs) {
-                    want.push(row as u32);
-                }
-            }
+            let want = scalar_select(&routed, &part.group_attrs, &part.predicates, batch, lo, hi);
             let mut got = Vec::new();
             kernel.select_into(batch, lo, hi, &mut got);
             assert_eq!(
@@ -307,82 +288,19 @@ fn ecommerce_stream_kernel_row_parity() {
     assert_stream_kernel_parity(&catalog, &workload, &batch, "ecommerce");
 }
 
-/// A strategy label, its results, and its per-scope (scanned, selected)
-/// tallies, as produced by one executor under one scan mode.
-type ModeRun = (&'static str, ExecutorResults, Vec<(u64, u64)>);
-
-/// One mode's full run: sequential, sharded (route-once columnar), and
-/// both two-step baselines over `batches`, returning each executor's
-/// results and scan tallies.
-fn run_mode(
-    catalog: &Catalog,
-    workload: &Workload,
-    plan: &SharingPlan,
-    batches: &[EventBatch],
-    mode: ScanMode,
-) -> Vec<ModeRun> {
-    set_scan_mode(Some(mode));
-    let mut out = Vec::new();
-
-    let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
-    for b in batches {
-        sequential.process_columnar(b);
-    }
-    let stats = sequential.scan_stats();
-    out.push(("sequential", sequential.finish(), stats));
-
-    // depth 0 keeps routing synchronous and a small flush threshold forces
-    // mid-stream route-once fan-outs, so the tallies cover routed rows when
-    // read (rows still buffered at the read are excluded identically in
-    // both modes); mode parity of the pipelined path is covered by the
-    // sharded_equivalence suite running under both CI scan modes
-    let mut sharded = ShardedExecutor::with_options(
-        catalog,
-        workload,
-        plan,
-        3,
-        sharon_executor::ShardedOptions {
-            batch_size: 512,
-            split: sharon_executor::SplitConfig::default(),
-            pipeline_depth: 0,
-            ..Default::default()
-        },
-    )
-    .expect("sharded compiles");
-    for b in batches {
-        sharded.process_columnar(b);
-    }
-    let stats = sharded.scan_stats();
-    out.push(("sharded", sharded.finish(), stats));
-
-    let mut flink = FlinkLike::new(catalog, workload).expect("flink-like compiles");
-    for b in batches {
-        flink.process_columnar(b);
-    }
-    let stats = flink.scan_stats();
-    out.push(("flink-like", flink.finish(), stats));
-
-    let mut spass =
-        SpassLike::new(catalog, workload, &SharingPlan::non_shared()).expect("spass-like compiles");
-    for b in batches {
-        spass.process_columnar(b);
-    }
-    let stats = spass.scan_stats();
-    out.push(("spass-like", spass.finish(), stats));
-
-    out
-}
-
-/// Build every executor under forced scalar and forced vector modes and
-/// assert both agree: `semantically_eq` results, identical tallies.
-fn assert_scan_modes_agree(
+/// Run every executor over ragged chunkings of `events` and check it
+/// end to end: sequential, sharded (route-once columnar), Flink-like, and
+/// SPASS-like results equal the per-event A-Seq reference; the sequential
+/// executor's per-partition scan tallies equal the interpreter's counts
+/// over the compiled partitions; the sharded runtime's tallies equal the
+/// sequential executor's.
+fn assert_scan_end_to_end(
     catalog: &Catalog,
     workload: &Workload,
     plan: &SharingPlan,
     events: &[Event],
     label: &str,
 ) {
-    let _guard = ModeGuard::hold();
     // ragged chunking, empty chunk included: partial trailing bitmap words
     let mut batches = Vec::new();
     let mut rest = events;
@@ -394,27 +312,100 @@ fn assert_scan_modes_agree(
     }
     batches.push(EventBatch::from_events(rest));
 
-    let scalar = run_mode(catalog, workload, plan, &batches, ScanMode::Scalar);
-    let vector = run_mode(catalog, workload, plan, &batches, ScanMode::Vector);
-
-    for ((name, s_results, s_stats), (_, v_results, v_stats)) in scalar.iter().zip(vector.iter()) {
-        assert!(
-            v_results.semantically_eq(s_results, 1e-9),
-            "{label}/{name}: vector results diverge from scalar ({} vs {})",
-            v_results.len(),
-            s_results.len(),
-        );
-        assert_eq!(
-            s_stats, v_stats,
-            "{label}/{name}: scan tallies diverge between modes"
-        );
-        let selected: u64 = s_stats.iter().map(|&(_, sel)| sel).sum();
-        assert!(selected > 0, "{label}/{name}: the scan must select rows");
+    // the per-event reference walks the interpreter, never the kernel
+    let mut reference = Executor::non_shared(catalog, workload).expect("reference compiles");
+    for e in events {
+        reference.process(e);
     }
+    let want = reference.finish();
+    assert!(!want.is_empty(), "{label}: the stream must produce results");
+    let check = |name: &str, got: &ExecutorResults| {
+        assert!(
+            got.semantically_eq(&want, 1e-9),
+            "{label}/{name}: results diverge from the A-Seq reference ({} vs {})",
+            got.len(),
+            want.len(),
+        );
+    };
+
+    let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
+    for b in &batches {
+        sequential.process_columnar(b);
+    }
+    let seq_stats = sequential.scan_stats();
+    check("sequential", &sequential.finish());
+
+    // the oracle's tallies over the same compiled partitions
+    let parts = compile(catalog, workload, plan).expect("workload compiles");
+    let oracle: Vec<(u64, u64)> = parts
+        .iter()
+        .map(|part| {
+            let routed = routed_types(part);
+            batches.iter().fold((0, 0), |(scanned, selected), b| {
+                let sel =
+                    scalar_select(&routed, &part.group_attrs, &part.predicates, b, 0, b.len());
+                (scanned + b.len() as u64, selected + sel.len() as u64)
+            })
+        })
+        .collect();
+    assert_eq!(
+        seq_stats, oracle,
+        "{label}/sequential: kernel tallies diverge from the interpreter"
+    );
+    let selected: u64 = oracle.iter().map(|&(_, sel)| sel).sum();
+    assert!(selected > 0, "{label}: the scan must select rows");
+
+    // a small flush threshold forces mid-stream route-once fan-outs;
+    // `split_snapshot` flushes the buffer and waits in-band for every
+    // router, so the tallies cover the whole stream when read
+    let mut sharded = ShardedExecutor::with_options(
+        catalog,
+        workload,
+        plan,
+        3,
+        sharon_executor::ShardedOptions {
+            batch_size: 512,
+            ..Default::default()
+        },
+    )
+    .expect("sharded compiles");
+    for b in &batches {
+        sharded.process_columnar(b);
+    }
+    let _ = sharded.split_snapshot();
+    assert_eq!(
+        sharded.scan_stats(),
+        seq_stats,
+        "{label}/sharded: scan tallies diverge from the sequential executor"
+    );
+    check("sharded", &sharded.finish());
+
+    let mut flink = FlinkLike::new(catalog, workload).expect("flink-like compiles");
+    for b in &batches {
+        flink.process_columnar(b);
+    }
+    let selected: u64 = flink.scan_stats().iter().map(|&(_, sel)| sel).sum();
+    assert!(
+        selected > 0,
+        "{label}/flink-like: the scan must select rows"
+    );
+    check("flink-like", &flink.finish());
+
+    let mut spass =
+        SpassLike::new(catalog, workload, &SharingPlan::non_shared()).expect("spass-like compiles");
+    for b in &batches {
+        spass.process_columnar(b);
+    }
+    let selected: u64 = spass.scan_stats().iter().map(|&(_, sel)| sel).sum();
+    assert!(
+        selected > 0,
+        "{label}/spass-like: the scan must select rows"
+    );
+    check("spass-like", &spass.finish());
 }
 
 #[test]
-fn taxi_scan_modes_equivalent_end_to_end() {
+fn taxi_scan_matches_oracle_end_to_end() {
     let mut catalog = Catalog::new();
     let events = taxi::generate(
         &mut catalog,
@@ -437,7 +428,7 @@ fn taxi_scan_modes_equivalent_end_to_end() {
         ],
     )
     .expect("taxi workload parses");
-    assert_scan_modes_agree(
+    assert_scan_end_to_end(
         &catalog,
         &workload,
         &SharingPlan::non_shared(),
@@ -447,7 +438,7 @@ fn taxi_scan_modes_equivalent_end_to_end() {
 }
 
 #[test]
-fn linear_road_scan_modes_equivalent_end_to_end() {
+fn linear_road_scan_matches_oracle_end_to_end() {
     let mut catalog = Catalog::new();
     let events = linear_road::generate(
         &mut catalog,
@@ -469,7 +460,7 @@ fn linear_road_scan_modes_equivalent_end_to_end() {
         ],
     )
     .expect("linear-road workload parses");
-    assert_scan_modes_agree(
+    assert_scan_end_to_end(
         &catalog,
         &workload,
         &SharingPlan::non_shared(),
@@ -479,7 +470,7 @@ fn linear_road_scan_modes_equivalent_end_to_end() {
 }
 
 #[test]
-fn ecommerce_scan_modes_equivalent_end_to_end() {
+fn ecommerce_scan_matches_oracle_end_to_end() {
     let mut catalog = Catalog::new();
     let events = ecommerce::generate(
         &mut catalog,
@@ -501,98 +492,11 @@ fn ecommerce_scan_modes_equivalent_end_to_end() {
         ],
     )
     .expect("ecommerce workload parses");
-    assert_scan_modes_agree(
+    assert_scan_end_to_end(
         &catalog,
         &workload,
         &SharingPlan::non_shared(),
         &events,
         "ecommerce",
     );
-}
-
-/// Manual timing harness for the executor-level scan paths — not an
-/// assertion. Run explicitly when tuning the kernel:
-/// `cargo test --release -p sharon --test scan_parity -- --ignored --nocapture`
-#[test]
-#[ignore = "manual perf harness, prints timings"]
-fn timing_scan_modes_on_executor() {
-    let _guard = ModeGuard::hold();
-    let mut catalog = Catalog::new();
-    // 3 streets: the 3-type query routes EVERY row, so the scan cost is
-    // all predicate work (the scalar path gets no cheap unrouted skip)
-    let batch = taxi::generate_batch(
-        &mut catalog,
-        &TaxiConfig {
-            n_events: 200_000,
-            n_streets: 3,
-            n_vehicles: 512,
-            ..Default::default()
-        },
-    );
-    let n = batch.len();
-    // per-type clause templates ({T} = the pattern type); conjunctions
-    // are range-empty (0 matches) so the scan dominates end to end, and
-    // each clause passes 23-77% of rows so the scalar interpreter's
-    // short-circuit branches stay unpredictable
-    let scenarios: [(&str, &[&str]); 3] = [
-        ("dense-range-2c", &["{T}.speed >= 37.5", "{T}.speed < 37.5"]),
-        (
-            "dense-range-4c",
-            &[
-                "{T}.speed >= 20.0",
-                "{T}.speed < 50.0",
-                "{T}.speed >= 35.0",
-                "{T}.speed < 35.0",
-            ],
-        ),
-        (
-            "dense-range-6c",
-            &[
-                "{T}.speed >= 10.0",
-                "{T}.speed < 60.0",
-                "{T}.speed >= 25.0",
-                "{T}.speed < 45.0",
-                "{T}.speed >= 35.0",
-                "{T}.speed < 35.0",
-            ],
-        ),
-    ];
-    for (label, templates) in scenarios {
-        let mk = |tys: &[&str]| {
-            tys.iter()
-                .flat_map(|t| templates.iter().map(move |tpl| tpl.replace("{T}", t)))
-                .collect::<Vec<_>>()
-                .join(" AND ")
-        };
-        let w1 = format!(
-            "RETURN COUNT(*) PATTERN SEQ(OakSt, MainSt, StateSt) WHERE {} AND [vehicle] \
-             WITHIN 10 s SLIDE 2 s",
-            mk(&["OakSt", "MainSt", "StateSt"])
-        );
-        let workload = parse_workload(&mut catalog, [w1.as_str()]).expect("timing workload parses");
-        let plan = SharingPlan::non_shared();
-        let mut rates = Vec::new();
-        for (mode_label, mode) in [("scalar", ScanMode::Scalar), ("vector", ScanMode::Vector)] {
-            set_scan_mode(Some(mode));
-            let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-            set_scan_mode(None);
-            // best of ten: the host VM throttles unpredictably, so a
-            // single pass (a few ms) is far too noisy to compare modes
-            let mut best = f64::MIN;
-            let mut n_results = 0;
-            for _ in 0..10 {
-                let t0 = std::time::Instant::now();
-                ex.process_columnar(&batch);
-                best = best.max(n as f64 / t0.elapsed().as_secs_f64() / 1e6);
-                set_scan_mode(Some(mode));
-                let fresh =
-                    std::mem::replace(&mut ex, Executor::new(&catalog, &workload, &plan).unwrap());
-                set_scan_mode(None);
-                n_results = fresh.finish().len();
-            }
-            rates.push(best);
-            println!("{label}/{mode_label}: {best:.1} Mev/s ({n_results} results)");
-        }
-        println!("{label}: vector/scalar = {:.2}x", rates[1] / rates[0]);
-    }
 }
