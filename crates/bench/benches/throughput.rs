@@ -1,6 +1,5 @@
-//! Events/sec throughput of the execution layer: sequential per-event vs
-//! sequential batched (row-form) vs sequential columnar vs the sharded
-//! route-once runtime at varying shard counts and `GROUP BY`
+//! Events/sec throughput of the execution layer: sequential columnar vs
+//! the sharded route-once runtime at varying shard counts and `GROUP BY`
 //! cardinalities, on the high-cardinality taxi stream under the Sharon
 //! optimizer's plan — plus an **all-strategy columnar sweep** (Flink,
 //! SPASS, A-Seq, SHARON through `AnyExecutor::process_columnar`) that
@@ -55,7 +54,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const BATCH: usize = 4096;
 
 struct Run {
     label: String,
@@ -90,28 +88,13 @@ fn scenario(n_events: usize, n_vehicles: usize) -> (String, Vec<Run>) {
         &mut catalog,
         &TaxiConfig::high_cardinality(n_events, n_vehicles),
     );
-    let events = batch.to_events();
     let workload = figure_1_workload(&mut catalog);
     let (counts, span) = measured_rates_batch(&batch);
     let rates = RateMap::from_counts(&counts, span);
     let plan = optimize_sharon(&workload, &rates, &OptimizerConfig::default()).plan;
-    let n = events.len();
+    let n = batch.len();
 
     let mut runs = Vec::new();
-    runs.push(measure("sequential/per-event", n, || {
-        let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-        for e in &events {
-            ex.process(e);
-        }
-        ex.finish()
-    }));
-    runs.push(measure("sequential/batched", n, || {
-        let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
-        for chunk in events.chunks(BATCH) {
-            ex.process_batch(chunk);
-        }
-        ex.finish()
-    }));
     runs.push(measure("sequential/columnar", n, || {
         let mut ex = Executor::new(&catalog, &workload, &plan).unwrap();
         ex.process_columnar(&batch);

@@ -10,7 +10,7 @@ use crate::strategy::AnyExecutor;
 use sharon_executor::{Executor, ExecutorResults};
 use sharon_optimizer::OptimizeOutcome;
 use sharon_query::SharingPlan;
-use sharon_types::{Event, EventBatch, EventStream};
+use sharon_types::{EventBatch, EventStream};
 
 /// The end-to-end Sharon system: optimize once, then execute the stream.
 ///
@@ -41,24 +41,15 @@ impl SharonFramework {
         self.outcome.as_ref()
     }
 
-    /// Process one event.
-    pub fn process(&mut self, e: &Event) {
-        self.executor.process(e);
-    }
-
-    /// Process a time-ordered batch of events (amortizes routing and
-    /// predicate dispatch; see [`Executor::process_batch`]).
-    pub fn process_batch(&mut self, events: &[Event]) {
-        self.executor.process_batch(events);
-    }
-
-    /// Process a time-ordered columnar batch — the native form of every
-    /// hot execution path (see [`Executor::process_columnar`]).
+    /// Process a time-ordered columnar batch — the one ingest entry point
+    /// (see [`Executor::process_columnar`]). Row-form events become a
+    /// batch through [`EventBatch::from_events`].
     pub fn process_columnar(&mut self, batch: &EventBatch) {
         self.executor.process_columnar(batch);
     }
 
-    /// Drain a stream through the executor in columnar batches.
+    /// Drain a stream through the executor in columnar batches of
+    /// [`Executor::RUN_BATCH`] rows.
     pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
         let mut buf = EventBatch::with_capacity(Executor::RUN_BATCH, 2);
         while stream.next_batch_columnar(Executor::RUN_BATCH, &mut buf) > 0 {

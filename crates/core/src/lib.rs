@@ -31,9 +31,11 @@
 //!     .unwrap();
 //! let (a, b, c) = (catalog.lookup("A").unwrap(), catalog.lookup("B").unwrap(),
 //!                  catalog.lookup("C").unwrap());
+//! let mut batch = EventBatch::new();
 //! for (ty, t) in [(a, 10), (b, 20), (c, 30)] {
-//!     fw.process(&Event::new(ty, Timestamp::from_millis(t)));
+//!     batch.push(ty, Timestamp::from_millis(t), &[]);
 //! }
+//! fw.process_columnar(&batch);
 //! let results = fw.finish();
 //! assert_eq!(results.total_count(QueryId(0)), 1);
 //! ```

@@ -4,8 +4,7 @@
 //! Every strategy — online or two-step, sequential or sharded — is a
 //! [`BatchProcessor`], so [`AnyExecutor`] is nothing but a boxed trait
 //! object: one columnar operator pipeline drives the whole taxonomy, with
-//! no per-strategy match arms and no row-form [`Event`] materialization on
-//! any batch path.
+//! no per-strategy match arms and no row-form [`Event`] materialization.
 
 use sharon_executor::{
     BatchProcessor, CheckpointError, CompileError, Executor, ExecutorResults, ShardedExecutor,
@@ -61,16 +60,6 @@ impl AnyExecutor {
         AnyExecutor { inner }
     }
 
-    /// Process one event.
-    pub fn process(&mut self, e: &Event) {
-        self.inner.process_event(e);
-    }
-
-    /// Process a time-ordered batch of row-form events.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        self.inner.process_events(events);
-    }
-
     /// Process a time-ordered columnar batch — every strategy's native
     /// stateless-scan → stateful-dispatch pipeline (the online engines'
     /// columnar hot path, the sharded runtime's route-once fan-out, the
@@ -107,10 +96,10 @@ impl AnyExecutor {
         self.inner.finish()
     }
 
-    /// Events that passed routing/predicates/grouping (online engines;
-    /// the sharded runtime reports the workers' last published counts,
-    /// which trail ingestion by at most the in-flight batches) or zero
-    /// for the two-step baselines, which do not track it.
+    /// Events that passed routing/predicates/grouping, summed over
+    /// partitions (online engines) or scopes (two-step baselines); the
+    /// sharded runtime reports the workers' last published counts, which
+    /// trail ingestion by at most the in-flight batches.
     pub fn events_matched(&self) -> u64 {
         self.inner.events_matched()
     }
@@ -205,9 +194,7 @@ pub fn run_strategy(
         strategy,
         &OptimizerConfig::default(),
     )?;
-    for e in events {
-        ex.process(e);
-    }
+    ex.process_columnar(&EventBatch::from_events(events));
     Ok(ex.finish())
 }
 

@@ -30,7 +30,8 @@ const MANIFEST_MAGIC: &[u8; 8] = b"SHRNCKPT";
 /// Checkpoint format version; bump on any codec change.
 /// v2: event-time sections (router frontier, per-engine reorder gate).
 /// v3: one router-state segment per routing-plane thread (`R ≥ 1`).
-const FORMAT_VERSION: u32 = 3;
+/// v4: reorder-gate rows drop the pre-routed flag (every row is).
+const FORMAT_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // errors

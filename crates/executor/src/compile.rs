@@ -19,9 +19,7 @@
 use crate::agg::OutputKind;
 use crate::router::SplitSpec;
 use crate::scan::ScanKernel;
-use sharon_query::{
-    clause_passes, AggFunc, CmpOp, Query, QueryId, SegmentKind, SharingPlan, Workload,
-};
+use sharon_query::{AggFunc, CmpOp, Query, QueryId, SegmentKind, SharingPlan, Workload};
 use sharon_types::{AttrId, Catalog, EventTypeId, FxHashMap, GroupKey, Value, WindowSpec};
 use std::fmt;
 
@@ -151,24 +149,11 @@ pub struct CompiledPartition {
 }
 
 impl CompiledPartition {
-    /// True if `attrs` pass this partition's predicates on `ty` (a missing
-    /// attribute fails). Must only be called for routed types.
-    ///
-    /// The per-event path's predicate check; the columnar paths run the
-    /// [`CompiledPartition::scan_kernel`], which must agree with it exactly
-    /// (both go through [`clause_passes`]).
-    #[inline]
-    pub fn predicates_pass(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        self.predicates[ty.index()]
-            .iter()
-            .all(|(attr, op, lit)| clause_passes(*op, attrs.get(attr.index()), lit))
-    }
-
     /// Compile this partition's stateless prefix — routing, predicates,
     /// groupability — into a vectorized [`ScanKernel`] evaluating whole
     /// batches into u64 selection bitmaps. Selects exactly the routed rows
-    /// that pass [`CompiledPartition::predicates_pass`] and carry every
-    /// `GROUP BY` attribute.
+    /// whose attributes pass every clause of [`CompiledPartition::predicates`]
+    /// and carry every `GROUP BY` attribute.
     pub fn scan_kernel(&self) -> ScanKernel {
         let routed = self.routes.iter().map(Option::is_some).collect();
         ScanKernel::new(routed, &self.group_attrs, &self.predicates)
@@ -180,10 +165,10 @@ impl CompiledPartition {
     /// `GROUP BY`, writes [`GroupKey::Global`]. Must only be called for
     /// routed types.
     ///
-    /// The single definition of key construction shared by the per-event
-    /// path, the columnar pre-pass, and the sharded batch router — shard
-    /// assignment hashes exactly the key an engine would build, so the
-    /// three paths cannot drift apart.
+    /// The single definition of key construction shared by the engines'
+    /// row path, the columnar pre-pass, and the sharded batch router —
+    /// shard assignment hashes exactly the key an engine would build, so
+    /// the paths cannot drift apart.
     #[inline]
     pub fn read_group_key(
         &self,

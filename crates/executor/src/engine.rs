@@ -30,8 +30,7 @@ use crate::spill::{SpillConfig, SpillStore};
 use crate::winvec::WinVec;
 use sharon_query::{SharingPlan, Workload};
 use sharon_types::{
-    fx_hash_one, Catalog, Event, EventBatch, EventStream, EventTypeId, FxHashMap, FxHashSet,
-    GroupKey, Timestamp, Value,
+    fx_hash_one, Catalog, EventBatch, EventTypeId, FxHashMap, FxHashSet, GroupKey, Timestamp, Value,
 };
 use std::collections::VecDeque;
 
@@ -423,46 +422,6 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// Enable event-time processing with the given allowed lateness (in
-    /// milliseconds): rows buffer in the reorder gate and release in
-    /// event-time order once the watermark `max_time_seen − lateness`
-    /// passes them; rows arriving behind the watermark are dropped and
-    /// counted ([`sharon_metrics::late_rows_dropped`]). Exact whenever
-    /// `lateness` covers the stream's disorder bound.
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.reorder = Some(Reorder::new(lateness_ms));
-    }
-
-    /// Late rows this engine dropped (0 when no gate is configured).
-    pub fn late_rows_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
-    }
-
-    /// The engine's current watermark (`None` when no gate is configured).
-    pub fn watermark(&self) -> Option<Timestamp> {
-        self.reorder.as_ref().map(Reorder::watermark)
-    }
-
-    /// Enable the LRU spill tier: at most `config.max_resident` groups
-    /// stay in memory; colder groups page out to `spill-<label>.log`
-    /// under `config.dir` and reload transparently on next access.
-    pub fn set_spill(&mut self, config: &SpillConfig, label: &str) -> std::io::Result<()> {
-        self.spill = Some(SpillTier {
-            store: SpillStore::create(&config.dir, label)?,
-            max_resident: config.max_resident,
-        });
-        Ok(())
-    }
-
-    /// Build an engine that only processes the groups in `slice`
-    /// (see [`ShardSlice`]); all other events are filtered out after
-    /// routing, predicates, and key extraction.
-    pub fn with_shard(part: CompiledPartition, slice: ShardSlice) -> Self {
-        let mut engine = Self::new(part);
-        engine.shard = Some(slice);
-        engine
-    }
-
     #[inline]
     fn contribution(part: &CompiledPartition, ty: EventTypeId, attrs: &[Value]) -> Contribution {
         match part.contrib_target {
@@ -477,125 +436,62 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// Process one event (events must arrive in timestamp order, unless
-    /// an event-time gate is configured via [`Engine::set_lateness`]).
+    /// The per-row entry of both columnar entry points: goes straight to
+    /// the in-order path, or — with an event-time gate configured —
+    /// through the reorder gate, which buffers the row for
+    /// watermark-ordered release (or drops and counts it as late).
     #[inline]
-    pub fn process(&mut self, e: &Event) {
-        self.process_row(e.ty, e.time, &e.attrs, false, false);
-        if self.reorder.is_some() {
-            self.advance_watermark(e.time);
-        }
-    }
-
-    /// The per-row entry of the per-event shim and both columnar entry
-    /// points: goes straight to the in-order path, or — with an
-    /// event-time gate configured — through the reorder gate, which
-    /// buffers the row for watermark-ordered release (or drops and
-    /// counts it as late).
-    #[inline]
-    fn process_row(
-        &mut self,
-        ty: EventTypeId,
-        time: Timestamp,
-        attrs: &[Value],
-        pre_routed: bool,
-        state_only: bool,
-    ) {
+    fn process_row(&mut self, ty: EventTypeId, time: Timestamp, attrs: &[Value], state_only: bool) {
         match &mut self.reorder {
-            None => self.process_row_inner(ty, time, attrs, pre_routed, state_only),
+            None => self.process_row_inner(ty, time, attrs, state_only),
             Some(gate) => {
-                gate.admit(ty, time, attrs, 0, pre_routed, state_only);
+                gate.admit(ty, time, attrs, 0, state_only);
             }
         }
-    }
-
-    /// Advance the event-time watermark to `frontier − lateness`
-    /// (monotone) and release every buffered row the watermark has
-    /// passed, in event-time order, into the in-order row path. A no-op
-    /// without a configured gate. The sharded runtime calls this with the
-    /// router's merged cross-shard frontier; the sequential paths
-    /// self-advance per event / per batch.
-    pub fn advance_watermark(&mut self, frontier: Timestamp) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.advance(frontier);
-        self.release_ready();
-        self.apply_ripe_unsplits();
     }
 
     /// Drain every gate-buffered row the current watermark has passed.
     fn release_ready(&mut self) {
         while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.process_row_inner(row.ty, row.time, &row.attrs, row.pre_routed, row.state_only);
+            self.process_row_inner(row.ty, row.time, &row.attrs, row.state_only);
             if let Some(gate) = &mut self.reorder {
                 gate.recycle(row);
             }
         }
     }
 
-    /// End-of-stream: open the gate and release everything still buffered
-    /// (and apply any deferred unsplit hand-backs). Idempotent, and a
-    /// no-op on arrival-time engines; [`Engine::finish_parts`] calls it,
-    /// but callers that read pre-finish stats ([`Engine::events_matched`],
-    /// [`Engine::cell_count`]) must call it first — buffered rows still
-    /// count toward both.
-    pub fn flush_pending(&mut self) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.open();
-        self.release_ready();
-        // an open gate's watermark passed every deadline: all deferred
-        // hand-backs apply before results are reported
-        self.apply_ripe_unsplits();
-    }
-
-    /// The shared in-order row path of every entry point. With
-    /// `pre_routed`, the caller (the columnar pre-pass or the sharded
-    /// batch router) has already evaluated this partition's predicates
-    /// and established that this engine may process the row's group, so
-    /// both checks are skipped. With `state_only`, the row is a broadcast
-    /// replica of a split group: it mutates evaluation state exactly like
-    /// the full copy on its owning shard, but folds nothing into final
-    /// accumulators and is not counted as matched — the split group's
-    /// final folds happen exactly once globally.
+    /// The shared in-order row path of every entry point. Every row is
+    /// pre-routed: the caller (the columnar pre-pass or the sharded batch
+    /// router) has already evaluated this partition's routing, predicates
+    /// and groupability and established that this engine may process the
+    /// row's group. With `state_only`, the row is a broadcast replica of a
+    /// split group: it mutates evaluation state exactly like the full copy
+    /// on its owning shard, but folds nothing into final accumulators and
+    /// is not counted as matched — the split group's final folds happen
+    /// exactly once globally.
     #[inline]
     fn process_row_inner(
         &mut self,
         ty: EventTypeId,
         time: Timestamp,
         attrs: &[Value],
-        pre_routed: bool,
         state_only: bool,
     ) {
         debug_assert!(time >= self.last_time, "events must be time-ordered");
         self.last_time = time;
 
         let Some(routes) = self.part.routes.get(ty.index()).and_then(Option::as_ref) else {
-            debug_assert!(!pre_routed, "router selected an unrouted event type");
+            debug_assert!(false, "router selected an unrouted event type");
             return;
         };
-        // partition-wide predicates on this type
-        if !pre_routed && !self.part.predicates_pass(ty, attrs) {
-            return;
-        }
         // group key — written into the reused scratch key, so the hot path
         // performs no allocation and no clone until a group is first seen
         if !self
             .part
             .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch)
         {
-            debug_assert!(!pre_routed, "router selected an ungroupable event");
-            return; // ungroupable event
-        }
-        // sharded execution: skip groups another engine owns (rows of
-        // split groups legitimately land off-owner, which the pre-routed
-        // debug assert below accounts for)
-        if let Some(slice) = &self.shard {
-            if !pre_routed && !slice.owns(&self.key_scratch) {
-                return;
-            }
+            debug_assert!(false, "router selected an ungroupable event");
+            return;
         }
         if !state_only {
             self.events_matched += 1;
@@ -641,13 +537,12 @@ impl<A: Aggregate> Engine<A> {
             .expect("group present after insert");
         self.clock += 1;
         grt.last_use = self.clock;
+        // rows of split groups legitimately land off-owner
         if let Some(slice) = &self.shard {
-            if pre_routed {
-                debug_assert!(
-                    grt.split || slice.owns(&self.key_scratch),
-                    "router misrouted a group"
-                );
-            }
+            debug_assert!(
+                grt.split || slice.owns(&self.key_scratch),
+                "router misrouted a group"
+            );
         }
 
         Self::touch(
@@ -672,55 +567,6 @@ impl<A: Aggregate> Engine<A> {
         );
     }
 
-    /// Mark a group as split across shards (a router notice): its rows may
-    /// arrive off-owner from now on, and its window closes emit per-window
-    /// sub-aggregates instead of final values.
-    pub fn mark_split(&mut self, key: &GroupKey) {
-        // a re-heat can re-split a group whose deferred unsplit has not
-        // ripened yet: cancel the hand-back — the replica state is live
-        // again and force-closing it would lose the new split's history
-        self.deferred_unsplits.retain(|(k, _)| k != key);
-        match key {
-            GroupKey::Global => self.split_global = true,
-            key => {
-                self.split_hashes.insert(fx_hash_one(key));
-            }
-        }
-        if let Some(grt) = self.groups.get_mut(key) {
-            grt.split = true;
-        }
-        // pre-size the sub-aggregate buffer at split time so the split
-        // path starts from real capacity instead of growing from zero
-        // (beyond this, growth is amortized doubling; callers with a
-        // results budget use `reserve_results` for exact planning)
-        self.partials.reserve(256);
-    }
-
-    /// Revert a split notice (the router cooled the group back down).
-    ///
-    /// The **owner** shard keeps the group marked split: its remaining
-    /// windows still emit sub-aggregates, and the merge step is
-    /// insensitive to the replica set shrinking back to one — keeping the
-    /// flag avoids a final-vs-partial emission conflict on windows that
-    /// straddle the hand-off. Every **replica** shard force-closes its
-    /// copy's remaining windows into sub-aggregates and drops the replica
-    /// state, reclaiming its memory.
-    ///
-    /// Event-time engines defer the hand-back while the reorder gate
-    /// still buffers rows: it applies once the watermark passes the gate
-    /// frontier observed here, i.e. after every row admitted before the
-    /// notice — the group's round-robined full copies included — has been
-    /// released.
-    pub fn mark_unsplit(&mut self, key: &GroupKey) {
-        if let Some(gate) = &self.reorder {
-            if gate.pending_len() > 0 {
-                self.deferred_unsplits.push((key.clone(), gate.frontier()));
-                return;
-            }
-        }
-        self.unsplit_now(key);
-    }
-
     /// Apply every deferred unsplit whose gate-frontier deadline the
     /// watermark has passed (all of their buffered rows are released).
     fn apply_ripe_unsplits(&mut self) {
@@ -742,7 +588,7 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// The immediate half of [`Engine::mark_unsplit`].
+    /// The immediate half of [`PartitionEngine::mark_unsplit`].
     fn unsplit_now(&mut self, key: &GroupKey) {
         let owner = match &self.shard {
             None => true,
@@ -867,268 +713,11 @@ impl<A: Aggregate> Engine<A> {
         }
     }
 
-    /// Serialize this engine's full evaluation state into a checkpoint
-    /// segment. Spilled groups are embedded **verbatim** — their on-disk
-    /// bytes already use the per-group layout — so checkpointing under
-    /// spill pressure reads the log sequentially instead of paging cold
-    /// groups back through the engine.
-    pub fn save_state(&mut self, w: &mut StateWriter) {
-        w.time(self.last_time);
-        w.u64(self.events_matched);
-        w.bool(self.split_global);
-        // deterministic order: identical state must yield identical bytes
-        let mut hashes: Vec<u64> = self.split_hashes.iter().copied().collect();
-        hashes.sort_unstable();
-        w.seq_len(hashes.len());
-        for h in hashes {
-            w.u64(h);
-        }
-        self.results.save_state(w);
-        self.partials.save_state(w);
-        let spilled = self.spill.as_ref().map_or(0, |t| t.store.len());
-        w.seq_len(self.groups.len() + spilled);
-        for (key, grt) in &self.groups {
-            w.group_key(key);
-            let mut gw = StateWriter::new();
-            grt.save_state(&mut gw);
-            w.bytes(&gw.into_bytes());
-        }
-        if let Some(tier) = &mut self.spill {
-            tier.store
-                .for_each(|key, bytes| {
-                    w.group_key(key);
-                    w.bytes(bytes);
-                })
-                .unwrap_or_else(|e| panic!("spill read during checkpoint failed: {e}"));
-        }
-        // event-time state: watermark + pending (not-yet-released) rows,
-        // so a resume under disorder is crash-exact
-        w.bool(self.reorder.is_some());
-        if let Some(gate) = &self.reorder {
-            gate.save_state(w);
-            w.seq_len(self.deferred_unsplits.len());
-            for (key, deadline) in &self.deferred_unsplits {
-                w.group_key(key);
-                w.time(*deadline);
-            }
-        }
-    }
-
-    /// Restore the state written by [`Engine::save_state`] into a freshly
-    /// built engine for the **same** compiled partition and shard slice.
-    /// With a spill tier configured, groups beyond the resident budget go
-    /// straight back to the spill log without being decoded.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.last_time = r.time()?;
-        self.events_matched = r.u64()?;
-        self.split_global = r.bool()?;
-        let n_hashes = r.seq_len()?;
-        self.split_hashes.clear();
-        self.split_hashes.reserve(n_hashes);
-        for _ in 0..n_hashes {
-            self.split_hashes.insert(r.u64()?);
-        }
-        self.results = ExecutorResults::load_state(r)?;
-        self.partials = PartialResults::load_state(r)?;
-        let n_groups = r.seq_len()?;
-        self.groups.clear();
-        for _ in 0..n_groups {
-            let key = r.group_key()?;
-            let bytes = r.bytes()?;
-            let budget = self.spill.as_ref().map_or(usize::MAX, |t| t.max_resident);
-            if self.groups.len() < budget {
-                let mut gr = StateReader::new(bytes);
-                let mut grt = GroupRuntime::load_state(&mut gr, &self.part)?;
-                if !gr.is_exhausted() {
-                    return Err(StateError::Corrupt("trailing group state bytes"));
-                }
-                self.clock += 1;
-                grt.last_use = self.clock;
-                self.groups.insert(key, grt);
-            } else {
-                let tier = self.spill.as_mut().expect("finite budget implies a tier");
-                tier.store
-                    .spill(key, bytes)
-                    .map_err(|_| StateError::Corrupt("spill write during restore"))?;
-            }
-        }
-        // a lateness mismatch between the checkpoint and the rebuilt
-        // engine would silently change which rows count as late — refuse
-        // both directions rather than guess
-        let had_gate = r.bool()?;
-        match (&mut self.reorder, had_gate) {
-            (Some(gate), true) => {
-                gate.load_state(r)?;
-                let n = r.seq_len()?;
-                self.deferred_unsplits.clear();
-                for _ in 0..n {
-                    let key = r.group_key()?;
-                    let deadline = r.time()?;
-                    self.deferred_unsplits.push((key, deadline));
-                }
-            }
-            (None, false) => {}
-            (Some(_), false) => {
-                return Err(StateError::Corrupt(
-                    "checkpoint has no event-time state but lateness is configured",
-                ));
-            }
-            (None, true) => {
-                return Err(StateError::Corrupt(
-                    "checkpoint has event-time state but no lateness is configured",
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of groups currently paged out to the spill log.
-    pub fn spilled_group_count(&self) -> usize {
-        self.spill.as_ref().map_or(0, |t| t.store.len())
-    }
-
-    /// Process a time-ordered batch of events.
-    ///
-    /// Semantically identical to calling [`Engine::process`] per event;
-    /// batching exists so callers amortize per-event virtual dispatch and
-    /// keep this engine's state hot in cache across the whole slice.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        for e in events {
-            self.process(e);
-        }
-    }
-
-    /// Process a time-ordered columnar batch.
-    ///
-    /// Semantically identical to [`Engine::process`] per row, but split
-    /// into two passes: a **stateless pre-pass** that runs routing over the
-    /// `ty` column, predicate evaluation over the value columns, and
-    /// groupability/ownership checks, collecting the surviving row indexes
-    /// into a reused selection buffer — and a **stateful pass** that
-    /// dispatches only the selected rows into per-group state. The
-    /// pre-pass touches no group state, so it runs as tight column scans;
-    /// the stateful pass never re-evaluates predicates.
-    pub fn process_columnar(&mut self, batch: &EventBatch) {
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        sel.clear();
-        // the compiled kernel evaluates routing, predicates, and
-        // groupability into a selection bitmap; only a sharded engine
-        // still walks the survivors for key construction (ownership
-        // hashes the actual key)
-        let kernel = &mut self.scan;
-        let selected = match &self.shard {
-            None => {
-                kernel.select_into(batch, 0, batch.len(), &mut sel);
-                sel.len() as u64
-            }
-            Some(slice) => {
-                let words = kernel.scan(batch, 0, batch.len());
-                for (w, &word) in words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let row = w * 64 + lane;
-                        let ok = self.part.read_group_key(
-                            batch.ty(row),
-                            batch.attrs(row),
-                            &mut self.vals_scratch,
-                            &mut self.key_scratch,
-                        );
-                        debug_assert!(ok, "kernel-selected row must be groupable");
-                        if ok && slice.owns(&self.key_scratch) {
-                            sel.push(row as u32);
-                        }
-                    }
-                }
-                kernel.selected()
-            }
-        };
-        self.rows_scanned += batch.len() as u64;
-        self.rows_selected += selected;
-        sharon_metrics::record_rows_scanned(batch.len() as u64);
-        sharon_metrics::record_rows_selected(selected);
-        self.process_rows(batch, &sel);
-        self.sel_scratch = sel;
-        // event-time mode: the batch's time-column max (tracked by the
-        // stateless scan in `EventBatch::push_from`) is this engine's
-        // frontier — advance once per batch, after admitting its rows
-        if self.reorder.is_some() {
-            if let Some(max) = batch.max_time() {
-                self.advance_watermark(max);
-            }
-        }
-    }
-
-    /// Process the pre-routed rows `rows` of `batch`, in order.
-    ///
-    /// The caller asserts that every listed row routes into this
-    /// partition, passes its predicates, and belongs to a group this
-    /// engine owns — the sharded runtime's batch router establishes
-    /// exactly this once per batch, so shard workers never re-evaluate
-    /// the stateless prefix for rows they do not own.
-    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32]) {
-        self.process_rows(batch, rows);
-    }
-
-    /// [`Engine::process_routed`] for a shard of a split group: `full`
-    /// rows are processed normally, `state` rows are broadcast replicas
-    /// whose final folds and matched counting are suppressed. Both lists
-    /// are ascending; they are merged on the fly so the engine sees the
-    /// rows in batch order.
-    pub fn process_routed_split(&mut self, batch: &EventBatch, full: &[u32], state: &[u32]) {
-        if state.is_empty() {
-            return self.process_rows(batch, full);
-        }
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < full.len() || j < state.len() {
-            let take_full = match (full.get(i), state.get(j)) {
-                (Some(&f), Some(&s)) => f < s, // a row is never in both lists
-                (Some(_), None) => true,
-                _ => false,
-            };
-            let (row, state_only) = if take_full {
-                i += 1;
-                (full[i - 1] as usize, false)
-            } else {
-                j += 1;
-                (state[j - 1] as usize, true)
-            };
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                state_only,
-            );
-        }
-    }
-
     #[inline]
     fn process_rows(&mut self, batch: &EventBatch, rows: &[u32]) {
         for &row in rows {
             let row = row as usize;
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                false,
-            );
-        }
-    }
-
-    /// Pre-size the result store for about `additional` further results
-    /// per query, so steady-state window emission does not reallocate
-    /// (sub-aggregate entries of split groups included).
-    pub fn reserve_results(&mut self, additional: usize) {
-        for q in &self.part.queries {
-            self.results.reserve(q.id, additional);
-        }
-        // sharded engines can be handed split groups at any point; size
-        // their sub-aggregate buffer with the same budget
-        if self.shard.is_some() {
-            self.partials.reserve(additional * self.part.queries.len());
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), false);
         }
     }
 
@@ -1445,29 +1034,355 @@ impl<A: Aggregate> Engine<A> {
             }
         }
     }
+}
 
-    /// Flush all remaining windows and return the results.
+impl<A: Aggregate> PartitionEngine for Engine<A> {
+    /// Process a time-ordered columnar batch in two passes: a
+    /// **stateless pre-pass** that runs routing over the
+    /// `ty` column, predicate evaluation over the value columns, and
+    /// groupability/ownership checks, collecting the surviving row indexes
+    /// into a reused selection buffer — and a **stateful pass** that
+    /// dispatches only the selected rows into per-group state. The
+    /// pre-pass touches no group state, so it runs as tight column scans;
+    /// the stateful pass never re-evaluates predicates.
+    fn process_columnar(&mut self, batch: &EventBatch) {
+        let mut sel = std::mem::take(&mut self.sel_scratch);
+        sel.clear();
+        // the compiled kernel evaluates routing, predicates, and
+        // groupability into a selection bitmap; only a sharded engine
+        // still walks the survivors for key construction (ownership
+        // hashes the actual key)
+        let kernel = &mut self.scan;
+        let selected = match &self.shard {
+            None => {
+                kernel.select_into(batch, 0, batch.len(), &mut sel);
+                sel.len() as u64
+            }
+            Some(slice) => {
+                let words = kernel.scan(batch, 0, batch.len());
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let lane = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let row = w * 64 + lane;
+                        let ok = self.part.read_group_key(
+                            batch.ty(row),
+                            batch.attrs(row),
+                            &mut self.vals_scratch,
+                            &mut self.key_scratch,
+                        );
+                        debug_assert!(ok, "kernel-selected row must be groupable");
+                        if ok && slice.owns(&self.key_scratch) {
+                            sel.push(row as u32);
+                        }
+                    }
+                }
+                kernel.selected()
+            }
+        };
+        self.rows_scanned += batch.len() as u64;
+        self.rows_selected += selected;
+        sharon_metrics::record_rows_scanned(batch.len() as u64);
+        sharon_metrics::record_rows_selected(selected);
+        self.process_rows(batch, &sel);
+        self.sel_scratch = sel;
+        // event-time mode: the batch's time-column max (tracked by the
+        // stateless scan in `EventBatch::push_from`) is this engine's
+        // frontier — advance once per batch, after admitting its rows
+        if self.reorder.is_some() {
+            if let Some(max) = batch.max_time() {
+                self.advance_watermark(max);
+            }
+        }
+    }
+
+    /// Process the router-selected rows of `batch`: the router asserts
+    /// that every listed row routes into this partition, passes its
+    /// predicates, and belongs to a group this shard owns or hosts split,
+    /// so shard workers never re-evaluate the stateless prefix. `full`
+    /// rows are processed normally, `state` rows are broadcast replicas of
+    /// split groups whose final folds and matched counting are
+    /// suppressed. Both lists
+    /// are ascending; they are merged on the fly so the engine sees the
+    /// rows in batch order.
+    fn process_routed_split(&mut self, batch: &EventBatch, full: &[u32], state: &[u32]) {
+        if state.is_empty() {
+            return self.process_rows(batch, full);
+        }
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < full.len() || j < state.len() {
+            let take_full = match (full.get(i), state.get(j)) {
+                (Some(&f), Some(&s)) => f < s, // a row is never in both lists
+                (Some(_), None) => true,
+                _ => false,
+            };
+            let (row, state_only) = if take_full {
+                i += 1;
+                (full[i - 1] as usize, false)
+            } else {
+                j += 1;
+                (state[j - 1] as usize, true)
+            };
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), state_only);
+        }
+    }
+
+    /// Mark a group as split across shards (a router notice): its rows may
+    /// arrive off-owner from now on, and its window closes emit per-window
+    /// sub-aggregates instead of final values.
+    fn mark_split(&mut self, key: &GroupKey) {
+        // a re-heat can re-split a group whose deferred unsplit has not
+        // ripened yet: cancel the hand-back — the replica state is live
+        // again and force-closing it would lose the new split's history
+        self.deferred_unsplits.retain(|(k, _)| k != key);
+        match key {
+            GroupKey::Global => self.split_global = true,
+            key => {
+                self.split_hashes.insert(fx_hash_one(key));
+            }
+        }
+        if let Some(grt) = self.groups.get_mut(key) {
+            grt.split = true;
+        }
+        // pre-size the sub-aggregate buffer at split time so the split
+        // path starts from real capacity instead of growing from zero
+        // (beyond this, growth is amortized doubling; callers with a
+        // results budget use `reserve_results` for exact planning)
+        self.partials.reserve(256);
+    }
+
+    /// Revert a split notice (the router cooled the group back down).
     ///
-    /// Only valid on engines that never had a group split (the sequential
-    /// paths): split groups produce sub-aggregates, which require the
-    /// sharded runtime's merge step — use [`Engine::finish_parts`] there.
-    pub fn finish(self) -> ExecutorResults {
-        let (results, partials) = self.finish_parts();
-        // a hard assert: silently dropping a split group's entire result
-        // set would be far worse than aborting (the check is one
-        // `Vec::is_empty`)
-        assert!(
-            partials.is_empty(),
-            "split-group sub-aggregates require the sharded merge step — \
-             use Engine::finish_parts"
-        );
-        results
+    /// The **owner** shard keeps the group marked split: its remaining
+    /// windows still emit sub-aggregates, and the merge step is
+    /// insensitive to the replica set shrinking back to one — keeping the
+    /// flag avoids a final-vs-partial emission conflict on windows that
+    /// straddle the hand-off. Every **replica** shard force-closes its
+    /// copy's remaining windows into sub-aggregates and drops the replica
+    /// state, reclaiming its memory.
+    ///
+    /// Event-time engines defer the hand-back while the reorder gate
+    /// still buffers rows: it applies once the watermark passes the gate
+    /// frontier observed here, i.e. after every row admitted before the
+    /// notice — the group's round-robined full copies included — has been
+    /// released.
+    fn mark_unsplit(&mut self, key: &GroupKey) {
+        if let Some(gate) = &self.reorder {
+            if gate.pending_len() > 0 {
+                self.deferred_unsplits.push((key.clone(), gate.frontier()));
+                return;
+            }
+        }
+        self.unsplit_now(key);
+    }
+
+    /// Enable the LRU spill tier: at most `config.max_resident` groups
+    /// stay in memory; colder groups page out to `spill-<label>.log`
+    /// under `config.dir` and reload transparently on next access.
+    fn set_spill(&mut self, config: &SpillConfig, label: &str) -> std::io::Result<()> {
+        self.spill = Some(SpillTier {
+            store: SpillStore::create(&config.dir, label)?,
+            max_resident: config.max_resident,
+        });
+        Ok(())
+    }
+
+    /// Enable event-time processing with the given allowed lateness (in
+    /// milliseconds): rows buffer in the reorder gate and release in
+    /// event-time order once the watermark `max_time_seen − lateness`
+    /// passes them; rows arriving behind the watermark are dropped and
+    /// counted ([`sharon_metrics::late_rows_dropped`]). Exact whenever
+    /// `lateness` covers the stream's disorder bound.
+    fn set_lateness(&mut self, lateness_ms: u64) {
+        self.reorder = Some(Reorder::new(lateness_ms));
+    }
+
+    /// Advance the event-time watermark to `frontier − lateness`
+    /// (monotone) and release every buffered row the watermark has
+    /// passed, in event-time order, into the in-order row path. A no-op
+    /// without a configured gate. The sharded runtime calls this with the
+    /// router's merged cross-shard frontier; the sequential paths
+    /// self-advance per event / per batch.
+    fn advance_watermark(&mut self, frontier: Timestamp) {
+        let Some(gate) = &mut self.reorder else {
+            return;
+        };
+        gate.advance(frontier);
+        self.release_ready();
+        self.apply_ripe_unsplits();
+    }
+
+    /// End-of-stream: open the gate and release everything still buffered
+    /// (and apply any deferred unsplit hand-backs). Idempotent, and a
+    /// no-op on arrival-time engines; [`PartitionEngine::finish_parts`] calls
+    /// it, but callers that read pre-finish stats
+    /// ([`PartitionEngine::events_matched`],
+    /// [`PartitionEngine::cell_count`]) must call it first — buffered rows still
+    /// count toward both.
+    fn flush_pending(&mut self) {
+        let Some(gate) = &mut self.reorder else {
+            return;
+        };
+        gate.open();
+        self.release_ready();
+        // an open gate's watermark passed every deadline: all deferred
+        // hand-backs apply before results are reported
+        self.apply_ripe_unsplits();
+    }
+
+    /// Late rows this engine dropped (0 when no gate is configured).
+    fn late_rows_dropped(&self) -> u64 {
+        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
+    }
+
+    /// Serialize this engine's full evaluation state into a checkpoint
+    /// segment. Spilled groups are embedded **verbatim** — their on-disk
+    /// bytes already use the per-group layout — so checkpointing under
+    /// spill pressure reads the log sequentially instead of paging cold
+    /// groups back through the engine. The leading byte tags the
+    /// aggregate kernel [`for_partition`] picks (0 = count, 1 = stats).
+    fn save_state(&mut self, w: &mut StateWriter) {
+        w.u8(u8::from(!self.part.count_only));
+        w.time(self.last_time);
+        w.u64(self.events_matched);
+        w.bool(self.split_global);
+        // deterministic order: identical state must yield identical bytes
+        let mut hashes: Vec<u64> = self.split_hashes.iter().copied().collect();
+        hashes.sort_unstable();
+        w.seq_len(hashes.len());
+        for h in hashes {
+            w.u64(h);
+        }
+        self.results.save_state(w);
+        self.partials.save_state(w);
+        let spilled = self.spill.as_ref().map_or(0, |t| t.store.len());
+        w.seq_len(self.groups.len() + spilled);
+        for (key, grt) in &self.groups {
+            w.group_key(key);
+            let mut gw = StateWriter::new();
+            grt.save_state(&mut gw);
+            w.bytes(&gw.into_bytes());
+        }
+        if let Some(tier) = &mut self.spill {
+            tier.store
+                .for_each(|key, bytes| {
+                    w.group_key(key);
+                    w.bytes(bytes);
+                })
+                .unwrap_or_else(|e| panic!("spill read during checkpoint failed: {e}"));
+        }
+        // event-time state: watermark + pending (not-yet-released) rows,
+        // so a resume under disorder is crash-exact
+        w.bool(self.reorder.is_some());
+        if let Some(gate) = &self.reorder {
+            gate.save_state(w);
+            w.seq_len(self.deferred_unsplits.len());
+            for (key, deadline) in &self.deferred_unsplits {
+                w.group_key(key);
+                w.time(*deadline);
+            }
+        }
+    }
+
+    /// Restore the state written by [`PartitionEngine::save_state`] into
+    /// a freshly built engine for the **same** compiled partition and
+    /// shard slice; the kernel kind tag must match. With a spill tier
+    /// configured, groups beyond the resident budget go straight back to
+    /// the spill log without being decoded.
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        if r.u8()? != u8::from(!self.part.count_only) {
+            return Err(StateError::Corrupt("engine kind tag"));
+        }
+        self.last_time = r.time()?;
+        self.events_matched = r.u64()?;
+        self.split_global = r.bool()?;
+        let n_hashes = r.seq_len()?;
+        self.split_hashes.clear();
+        self.split_hashes.reserve(n_hashes);
+        for _ in 0..n_hashes {
+            self.split_hashes.insert(r.u64()?);
+        }
+        self.results = ExecutorResults::load_state(r)?;
+        self.partials = PartialResults::load_state(r)?;
+        let n_groups = r.seq_len()?;
+        self.groups.clear();
+        for _ in 0..n_groups {
+            let key = r.group_key()?;
+            let bytes = r.bytes()?;
+            let budget = self.spill.as_ref().map_or(usize::MAX, |t| t.max_resident);
+            if self.groups.len() < budget {
+                let mut gr = StateReader::new(bytes);
+                let mut grt = GroupRuntime::load_state(&mut gr, &self.part)?;
+                if !gr.is_exhausted() {
+                    return Err(StateError::Corrupt("trailing group state bytes"));
+                }
+                self.clock += 1;
+                grt.last_use = self.clock;
+                self.groups.insert(key, grt);
+            } else {
+                let tier = self.spill.as_mut().expect("finite budget implies a tier");
+                tier.store
+                    .spill(key, bytes)
+                    .map_err(|_| StateError::Corrupt("spill write during restore"))?;
+            }
+        }
+        // a lateness mismatch between the checkpoint and the rebuilt
+        // engine would silently change which rows count as late — refuse
+        // both directions rather than guess
+        let had_gate = r.bool()?;
+        match (&mut self.reorder, had_gate) {
+            (Some(gate), true) => {
+                gate.load_state(r)?;
+                let n = r.seq_len()?;
+                self.deferred_unsplits.clear();
+                for _ in 0..n {
+                    let key = r.group_key()?;
+                    let deadline = r.time()?;
+                    self.deferred_unsplits.push((key, deadline));
+                }
+            }
+            (None, false) => {}
+            (Some(_), false) => {
+                return Err(StateError::Corrupt(
+                    "checkpoint has no event-time state but lateness is configured",
+                ));
+            }
+            (None, true) => {
+                return Err(StateError::Corrupt(
+                    "checkpoint has event-time state but no lateness is configured",
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Pre-size the result store for about `additional` further results
+    /// per query, so steady-state window emission does not reallocate
+    /// (sub-aggregate entries of split groups included).
+    fn reserve_results(&mut self, additional: usize) {
+        for q in &self.part.queries {
+            self.results.reserve(q.id, additional);
+        }
+        // sharded engines can be handed split groups at any point; size
+        // their sub-aggregate buffer with the same budget
+        if self.shard.is_some() {
+            self.partials.reserve(additional * self.part.queries.len());
+        }
+    }
+
+    /// Take the results emitted so far, leaving the store empty. Windows
+    /// still open keep their state and appear in a later take or at
+    /// [`Executor::finish`] — this is the non-consuming epoch drain used by
+    /// the session layer's `drain_results`.
+    fn take_results(&mut self) -> ExecutorResults {
+        std::mem::take(&mut self.results)
     }
 
     /// Flush all remaining windows and return the final results plus this
     /// shard's per-window sub-aggregates of split groups (combined across
     /// shards by [`crate::PartialResults::finalize_into`]).
-    pub fn finish_parts(mut self) -> (ExecutorResults, PartialResults) {
+    fn finish_parts(mut self: Box<Self>) -> (ExecutorResults, PartialResults) {
         // end of stream: release every row still buffered in the
         // event-time gate before any window is force-closed
         self.flush_pending();
@@ -1497,253 +1412,97 @@ impl<A: Aggregate> Engine<A> {
         (self.results, self.partials)
     }
 
-    /// Take the results emitted so far, leaving the store empty. Windows
-    /// still open keep their state and appear in a later take or at
-    /// [`Engine::finish`] — this is the non-consuming epoch drain used by
-    /// the session layer's `drain_results`.
-    pub fn take_results(&mut self) -> ExecutorResults {
-        std::mem::take(&mut self.results)
-    }
-
     /// Events that passed routing, predicates, and grouping.
-    pub fn events_matched(&self) -> u64 {
+    fn events_matched(&self) -> u64 {
         self.events_matched
     }
 
     /// `(rows_scanned, rows_selected)` of this engine's columnar
     /// pre-pass (selection is counted before any shard-ownership
     /// filtering).
-    pub fn scan_stats(&self) -> (u64, u64) {
+    fn scan_stats(&self) -> (u64, u64) {
         (self.rows_scanned, self.rows_selected)
     }
 
     /// Live aggregate cells across all groups (memory proxy).
-    pub fn cell_count(&self) -> usize {
+    fn cell_count(&self) -> usize {
         self.groups.values().map(GroupRuntime::cell_count).sum()
     }
+}
 
-    /// Number of groups with live state.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
+/// One partition engine behind the executors' per-batch dispatch: the
+/// operations the sequential [`Executor`], the sharded runtime's shard
+/// workers and the checkpoint path apply to a partition. [`Engine`]
+/// implements it for each aggregate kernel, so dispatch happens once per
+/// batch per partition and the per-row path stays monomorphized.
+pub trait PartitionEngine: Send {
+    /// Scan a time-ordered columnar batch and fold the selected rows.
+    fn process_columnar(&mut self, batch: &EventBatch);
+    /// Fold rows the batch router selected: `full` rows normally, `state`
+    /// rows as state-only replicas of split groups.
+    fn process_routed_split(&mut self, batch: &EventBatch, full: &[u32], state: &[u32]);
+    /// Apply a router split notice for `key`.
+    fn mark_split(&mut self, key: &GroupKey);
+    /// Apply a router unsplit (cool-down) notice for `key`.
+    fn mark_unsplit(&mut self, key: &GroupKey);
+    /// Enable the LRU spill tier.
+    fn set_spill(&mut self, config: &SpillConfig, label: &str) -> std::io::Result<()>;
+    /// Enable event-time processing with `lateness_ms` of allowed disorder.
+    fn set_lateness(&mut self, lateness_ms: u64);
+    /// Advance the event-time watermark and release the rows it passed.
+    fn advance_watermark(&mut self, frontier: Timestamp);
+    /// Release every row still buffered in the event-time gate.
+    fn flush_pending(&mut self);
+    /// Late rows dropped by the event-time gate.
+    fn late_rows_dropped(&self) -> u64;
+    /// Serialize the full evaluation state, tagged with the kernel kind.
+    fn save_state(&mut self, w: &mut StateWriter);
+    /// Restore state written by [`PartitionEngine::save_state`].
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError>;
+    /// Pre-size the result store.
+    fn reserve_results(&mut self, additional: usize);
+    /// Take the results emitted so far.
+    fn take_results(&mut self) -> ExecutorResults;
+    /// Flush every window; return final results and split-group parts.
+    fn finish_parts(self: Box<Self>) -> (ExecutorResults, PartialResults);
+    /// Rows that passed routing, predicates, grouping and ownership.
+    fn events_matched(&self) -> u64;
+    /// `(rows_scanned, rows_selected)` of the columnar pre-pass.
+    fn scan_stats(&self) -> (u64, u64);
+    /// Live aggregate cells across all groups (memory proxy).
+    fn cell_count(&self) -> usize;
+}
+
+/// Build the engine for `part`, picking the aggregate kernel from
+/// `part.count_only`, optionally restricted to a group-space
+/// [`ShardSlice`].
+pub fn for_partition(
+    part: CompiledPartition,
+    shard: Option<ShardSlice>,
+) -> Box<dyn PartitionEngine> {
+    fn build<A: Aggregate>(
+        part: CompiledPartition,
+        shard: Option<ShardSlice>,
+    ) -> Box<dyn PartitionEngine> {
+        let mut engine = Engine::<A>::new(part);
+        engine.shard = shard;
+        Box::new(engine)
+    }
+    if part.count_only {
+        build::<CountCell>(part, shard)
+    } else {
+        build::<StatsCell>(part, shard)
     }
 }
 
 /// The public executor: compiles a workload + plan into one engine per
-/// sharing-signature partition and fans every event out to them.
+/// sharing-signature partition and fans every batch out to them.
 ///
 /// With [`SharingPlan::non_shared`] this *is* the Non-Shared method
 /// (A-Seq per query, Section 3.2); with an optimizer-produced plan it is
 /// the Sharon executor (Section 3.3).
-pub enum Executor {
-    /// All queries are `COUNT`-like: specialized count kernel.
-    #[doc(hidden)]
-    __Internal(Vec<EngineKind>),
-}
-
-/// One partition engine, monomorphized on its aggregate kernel.
-pub enum EngineKind {
-    /// `COUNT(*)` / `COUNT(E)` partition.
-    Count(Engine<CountCell>),
-    /// `SUM`/`MIN`/`MAX`/`AVG` partition.
-    Stats(Engine<StatsCell>),
-}
-
-impl EngineKind {
-    /// Build the right kernel for `part`, optionally restricted to a
-    /// group-space [`ShardSlice`].
-    pub fn for_partition(part: CompiledPartition, shard: Option<ShardSlice>) -> Self {
-        let count_only = part.count_only;
-        match (count_only, shard) {
-            (true, Some(s)) => EngineKind::Count(Engine::with_shard(part, s)),
-            (true, None) => EngineKind::Count(Engine::new(part)),
-            (false, Some(s)) => EngineKind::Stats(Engine::with_shard(part, s)),
-            (false, None) => EngineKind::Stats(Engine::new(part)),
-        }
-    }
-
-    /// Process a time-ordered batch of events.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        match self {
-            EngineKind::Count(en) => en.process_batch(events),
-            EngineKind::Stats(en) => en.process_batch(events),
-        }
-    }
-
-    /// Process a time-ordered columnar batch (see
-    /// [`Engine::process_columnar`]).
-    pub fn process_columnar(&mut self, batch: &EventBatch) {
-        match self {
-            EngineKind::Count(en) => en.process_columnar(batch),
-            EngineKind::Stats(en) => en.process_columnar(batch),
-        }
-    }
-
-    /// Process pre-routed rows of a columnar batch (see
-    /// [`Engine::process_routed`]).
-    pub fn process_routed(&mut self, batch: &EventBatch, rows: &[u32]) {
-        match self {
-            EngineKind::Count(en) => en.process_routed(batch, rows),
-            EngineKind::Stats(en) => en.process_routed(batch, rows),
-        }
-    }
-
-    /// Process pre-routed full rows interleaved with state-only replica
-    /// rows of split groups (see [`Engine::process_routed_split`]).
-    pub fn process_routed_split(&mut self, batch: &EventBatch, full: &[u32], state: &[u32]) {
-        match self {
-            EngineKind::Count(en) => en.process_routed_split(batch, full, state),
-            EngineKind::Stats(en) => en.process_routed_split(batch, full, state),
-        }
-    }
-
-    /// Mark a group as split across shards (see [`Engine::mark_split`]).
-    pub fn mark_split(&mut self, key: &GroupKey) {
-        match self {
-            EngineKind::Count(en) => en.mark_split(key),
-            EngineKind::Stats(en) => en.mark_split(key),
-        }
-    }
-
-    /// Revert a split notice (see [`Engine::mark_unsplit`]).
-    pub fn mark_unsplit(&mut self, key: &GroupKey) {
-        match self {
-            EngineKind::Count(en) => en.mark_unsplit(key),
-            EngineKind::Stats(en) => en.mark_unsplit(key),
-        }
-    }
-
-    /// Enable the LRU spill tier (see [`Engine::set_spill`]).
-    pub fn set_spill(&mut self, config: &SpillConfig, label: &str) -> std::io::Result<()> {
-        match self {
-            EngineKind::Count(en) => en.set_spill(config, label),
-            EngineKind::Stats(en) => en.set_spill(config, label),
-        }
-    }
-
-    /// Enable event-time processing (see [`Engine::set_lateness`]).
-    pub fn set_lateness(&mut self, lateness_ms: u64) {
-        match self {
-            EngineKind::Count(en) => en.set_lateness(lateness_ms),
-            EngineKind::Stats(en) => en.set_lateness(lateness_ms),
-        }
-    }
-
-    /// Advance the event-time watermark and release ready rows (see
-    /// [`Engine::advance_watermark`]).
-    pub fn advance_watermark(&mut self, frontier: Timestamp) {
-        match self {
-            EngineKind::Count(en) => en.advance_watermark(frontier),
-            EngineKind::Stats(en) => en.advance_watermark(frontier),
-        }
-    }
-
-    /// Late rows dropped by this engine's gate (see
-    /// [`Engine::late_rows_dropped`]).
-    pub fn late_rows_dropped(&self) -> u64 {
-        match self {
-            EngineKind::Count(en) => en.late_rows_dropped(),
-            EngineKind::Stats(en) => en.late_rows_dropped(),
-        }
-    }
-
-    /// Serialize the full evaluation state, tagged with the kernel kind
-    /// (see [`Engine::save_state`]).
-    pub fn save_state(&mut self, w: &mut crate::checkpoint::StateWriter) {
-        match self {
-            EngineKind::Count(en) => {
-                w.u8(0);
-                en.save_state(w);
-            }
-            EngineKind::Stats(en) => {
-                w.u8(1);
-                en.save_state(w);
-            }
-        }
-    }
-
-    /// Restore state written by [`EngineKind::save_state`]; the kernel
-    /// kind must match the one this engine was compiled with.
-    pub fn load_state(
-        &mut self,
-        r: &mut crate::checkpoint::StateReader<'_>,
-    ) -> Result<(), crate::checkpoint::StateError> {
-        let tag = r.u8()?;
-        match (self, tag) {
-            (EngineKind::Count(en), 0) => en.load_state(r),
-            (EngineKind::Stats(en), 1) => en.load_state(r),
-            _ => Err(crate::checkpoint::StateError::Corrupt("engine kind tag")),
-        }
-    }
-
-    /// Number of groups currently paged out to the spill log (see
-    /// [`Engine::spilled_group_count`]).
-    pub fn spilled_group_count(&self) -> usize {
-        match self {
-            EngineKind::Count(en) => en.spilled_group_count(),
-            EngineKind::Stats(en) => en.spilled_group_count(),
-        }
-    }
-
-    /// Pre-size the result store (see [`Engine::reserve_results`]).
-    pub fn reserve_results(&mut self, additional: usize) {
-        match self {
-            EngineKind::Count(en) => en.reserve_results(additional),
-            EngineKind::Stats(en) => en.reserve_results(additional),
-        }
-    }
-
-    /// Take the results emitted so far without finishing (see
-    /// [`Engine::take_results`]).
-    pub fn take_results(&mut self) -> ExecutorResults {
-        match self {
-            EngineKind::Count(en) => en.take_results(),
-            EngineKind::Stats(en) => en.take_results(),
-        }
-    }
-
-    /// Flush remaining windows and return the results.
-    pub fn finish(self) -> ExecutorResults {
-        match self {
-            EngineKind::Count(en) => en.finish(),
-            EngineKind::Stats(en) => en.finish(),
-        }
-    }
-
-    /// Flush remaining windows and return the results plus split-group
-    /// sub-aggregates (see [`Engine::finish_parts`]).
-    pub fn finish_parts(self) -> (ExecutorResults, PartialResults) {
-        match self {
-            EngineKind::Count(en) => en.finish_parts(),
-            EngineKind::Stats(en) => en.finish_parts(),
-        }
-    }
-
-    /// Events that passed routing, predicates, grouping, and shard
-    /// ownership.
-    pub fn events_matched(&self) -> u64 {
-        match self {
-            EngineKind::Count(en) => en.events_matched(),
-            EngineKind::Stats(en) => en.events_matched(),
-        }
-    }
-
-    /// `(rows_scanned, rows_selected)` of the columnar pre-pass (see
-    /// [`Engine::scan_stats`]).
-    pub fn scan_stats(&self) -> (u64, u64) {
-        match self {
-            EngineKind::Count(en) => en.scan_stats(),
-            EngineKind::Stats(en) => en.scan_stats(),
-        }
-    }
-
-    /// End-of-stream gate drain (see [`Engine::flush_pending`]): release
-    /// every buffered event-time row so pre-finish stats are final.
-    pub fn flush_pending(&mut self) {
-        match self {
-            EngineKind::Count(en) => en.flush_pending(),
-            EngineKind::Stats(en) => en.flush_pending(),
-        }
-    }
+pub struct Executor {
+    engines: Vec<Box<dyn PartitionEngine>>,
 }
 
 impl Executor {
@@ -1754,11 +1513,8 @@ impl Executor {
         plan: &SharingPlan,
     ) -> Result<Self, CompileError> {
         let parts = compile(catalog, workload, plan)?;
-        let engines = parts
-            .into_iter()
-            .map(|p| EngineKind::for_partition(p, None))
-            .collect();
-        Ok(Executor::__Internal(engines))
+        let engines = parts.into_iter().map(|p| for_partition(p, None)).collect();
+        Ok(Executor { engines })
     }
 
     /// The Non-Shared (A-Seq) executor for `workload`.
@@ -1766,38 +1522,11 @@ impl Executor {
         Self::new(catalog, workload, &SharingPlan::non_shared())
     }
 
-    fn engines(&mut self) -> &mut Vec<EngineKind> {
-        let Executor::__Internal(e) = self;
-        e
-    }
-
-    /// Process one event.
-    pub fn process(&mut self, e: &Event) {
-        for engine in self.engines() {
-            match engine {
-                EngineKind::Count(en) => en.process(e),
-                EngineKind::Stats(en) => en.process(e),
-            }
-        }
-    }
-
-    /// Process a time-ordered batch of events.
-    ///
-    /// Equivalent to per-event [`Executor::process`], but iterates engines
-    /// in the outer loop: each partition engine consumes the whole batch
-    /// while its state is hot, instead of every event paying one dispatch
-    /// per engine.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        for engine in self.engines() {
-            engine.process_batch(events);
-        }
-    }
-
     /// Process a time-ordered columnar batch: each partition engine runs
     /// its columnar pre-pass and stateful pass over the whole batch while
-    /// its state is hot (see [`Engine::process_columnar`]).
+    /// its state is hot (see [`PartitionEngine::process_columnar`]).
     pub fn process_columnar(&mut self, batch: &EventBatch) {
-        for engine in self.engines() {
+        for engine in &mut self.engines {
             engine.process_columnar(batch);
         }
     }
@@ -1806,40 +1535,29 @@ impl Executor {
     /// further results per query (capacity planning for allocation-free
     /// steady-state emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        for engine in self.engines() {
+        for engine in &mut self.engines {
             engine.reserve_results(additional);
         }
     }
 
     /// Enable event-time processing on every partition engine (see
-    /// [`Engine::set_lateness`]): input may arrive out of timestamp
-    /// order, rows release behind the watermark `max_time_seen −
-    /// lateness_ms`, and rows behind the watermark are dropped and
-    /// counted.
+    /// [`PartitionEngine::set_lateness`]): input may arrive out of
+    /// timestamp order, rows release behind the watermark
+    /// `max_time_seen − lateness_ms`, and rows behind the watermark are
+    /// dropped and counted.
     pub fn set_lateness(&mut self, lateness_ms: u64) {
-        for engine in self.engines() {
+        for engine in &mut self.engines {
             engine.set_lateness(lateness_ms);
         }
     }
 
     /// Late rows dropped, summed over partitions.
     pub fn late_rows_dropped(&self) -> u64 {
-        let Executor::__Internal(engines) = self;
-        engines.iter().map(EngineKind::late_rows_dropped).sum()
+        self.engines.iter().map(|e| e.late_rows_dropped()).sum()
     }
 
-    /// Default batch size for [`Executor::run`] and the sharded runtime.
+    /// Default batch size of the stream drain in `SharonFramework::run`.
     pub const RUN_BATCH: usize = 1024;
-
-    /// Drain a stream through the executor in columnar batches.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        let mut buf = EventBatch::with_capacity(Self::RUN_BATCH, 2);
-        while stream.next_batch_columnar(Self::RUN_BATCH, &mut buf) > 0 {
-            self.process_columnar(&buf);
-            buf.clear();
-        }
-        self
-    }
 
     /// Take the results emitted so far across all partition engines,
     /// leaving every store empty. Open windows keep their state and
@@ -1847,7 +1565,7 @@ impl Executor {
     /// drain backing the session layer's `drain_results`.
     pub fn take_results(&mut self) -> ExecutorResults {
         let mut out = ExecutorResults::new();
-        for engine in self.engines() {
+        for engine in &mut self.engines {
             out.merge(engine.take_results());
         }
         out
@@ -1855,13 +1573,17 @@ impl Executor {
 
     /// Flush remaining windows and return all results.
     pub fn finish(self) -> ExecutorResults {
-        let Executor::__Internal(engines) = self;
         let mut out = ExecutorResults::new();
-        for engine in engines {
-            out.merge(match engine {
-                EngineKind::Count(en) => en.finish(),
-                EngineKind::Stats(en) => en.finish(),
-            });
+        for engine in self.engines {
+            let (results, partials) = engine.finish_parts();
+            // a hard assert: silently dropping a split group's entire
+            // result set would be far worse than aborting (the sequential
+            // engines never split a group)
+            assert!(
+                partials.is_empty(),
+                "split-group sub-aggregates require the sharded merge step"
+            );
+            out.merge(results);
         }
         out
     }
@@ -1869,45 +1591,22 @@ impl Executor {
     /// Events that passed routing, predicates, and grouping, summed over
     /// partitions.
     pub fn events_matched(&self) -> u64 {
-        let Executor::__Internal(engines) = self;
-        engines
-            .iter()
-            .map(|e| match e {
-                EngineKind::Count(en) => en.events_matched(),
-                EngineKind::Stats(en) => en.events_matched(),
-            })
-            .sum()
+        self.engines.iter().map(|e| e.events_matched()).sum()
     }
 
     /// Live aggregate cells (memory proxy).
     pub fn cell_count(&self) -> usize {
-        let Executor::__Internal(engines) = self;
-        engines
-            .iter()
-            .map(|e| match e {
-                EngineKind::Count(en) => en.cell_count(),
-                EngineKind::Stats(en) => en.cell_count(),
-            })
-            .sum()
+        self.engines.iter().map(|e| e.cell_count()).sum()
     }
 
     /// Per-partition `(rows_scanned, rows_selected)` of the columnar
     /// pre-pass (one entry per engine, in partition order).
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        let Executor::__Internal(engines) = self;
-        engines.iter().map(EngineKind::scan_stats).collect()
+        self.engines.iter().map(|e| e.scan_stats()).collect()
     }
 }
 
 impl crate::processor::BatchProcessor for Executor {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
-    fn process_events(&mut self, events: &[Event]) {
-        self.process_batch(events);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
         Executor::process_columnar(self, batch);
     }
@@ -1932,7 +1631,11 @@ impl crate::processor::BatchProcessor for Executor {
         self.cell_count()
     }
 
-    fn finish(self: Box<Self>) -> (ExecutorResults, u64) {
+    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64) {
+        // rows still buffered in the event-time gates count as matched
+        for engine in &mut self.engines {
+            engine.flush_pending();
+        }
         let matched = Executor::events_matched(&self);
         ((*self).finish(), matched)
     }
@@ -1943,10 +1646,15 @@ mod tests {
     use super::*;
     use sharon_query::aggregate::AggValue;
     use sharon_query::{parse_workload, Pattern, PlanCandidate, QueryId};
-    use sharon_types::EventTypeId;
+    use sharon_types::{Event, EventTypeId};
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))
+    }
+
+    /// Feed `events` as one time-ordered columnar batch.
+    fn feed(ex: &mut Executor, events: &[Event]) {
+        ex.process_columnar(&EventBatch::from_events(events));
     }
 
     fn run_queries(
@@ -1957,9 +1665,7 @@ mod tests {
         let mut c = Catalog::new();
         let w = parse_workload(&mut c, sources.iter().copied()).unwrap();
         let mut ex = Executor::new(&c, &w, plan).unwrap();
-        for e in build(&c) {
-            ex.process(&e);
-        }
+        feed(&mut ex, &build(&c));
         (c, ex.finish())
     }
 
@@ -2079,10 +1785,10 @@ mod tests {
         let mut ex = Executor::non_shared(&c, &w).unwrap();
         let mk = |ty, t, v: i64| Event::with_attrs(ty, Timestamp(t), vec![Value::Int(v)]);
         // vehicle 1: a1 b2 ; vehicle 2: a3 ; b4 of vehicle 2 completes only v2
-        ex.process(&mk(a, 1, 1));
-        ex.process(&mk(b, 2, 1));
-        ex.process(&mk(a, 3, 2));
-        ex.process(&mk(b, 4, 2));
+        feed(
+            &mut ex,
+            &[mk(a, 1, 1), mk(b, 2, 1), mk(a, 3, 2), mk(b, 4, 2)],
+        );
         let res = ex.finish();
         let k1 = GroupKey::One(Value::Int(1));
         let k2 = GroupKey::One(Value::Int(2));
@@ -2108,9 +1814,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::non_shared(&c, &w).unwrap();
-        ex.process(&Event::with_attrs(a, Timestamp(1), vec![Value::Int(40)])); // filtered
-        ex.process(&Event::with_attrs(a, Timestamp(2), vec![Value::Int(60)]));
-        ex.process(&ev(b, 3));
+        feed(
+            &mut ex,
+            &[
+                Event::with_attrs(a, Timestamp(1), vec![Value::Int(40)]), // filtered
+                Event::with_attrs(a, Timestamp(2), vec![Value::Int(60)]),
+                ev(b, 3),
+            ],
+        );
         assert_eq!(ex.events_matched(), 2);
         let res = ex.finish();
         assert_eq!(
@@ -2132,9 +1843,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
-        ex.process(&ev(a, 1));
-        ex.process(&Event::with_attrs(b, Timestamp(2), vec![Value::Int(10)]));
-        ex.process(&Event::with_attrs(b, Timestamp(3), vec![Value::Int(5)]));
+        feed(
+            &mut ex,
+            &[
+                ev(a, 1),
+                Event::with_attrs(b, Timestamp(2), vec![Value::Int(10)]),
+                Event::with_attrs(b, Timestamp(3), vec![Value::Int(5)]),
+            ],
+        );
         let res = ex.finish();
         assert_eq!(
             res.get(QueryId(0), &GroupKey::Global, Timestamp(0)),
@@ -2157,9 +1873,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
-        ex.process(&Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]));
-        ex.process(&Event::with_attrs(a, Timestamp(2), vec![Value::Int(8)]));
-        ex.process(&ev(b, 3));
+        feed(
+            &mut ex,
+            &[
+                Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]),
+                Event::with_attrs(a, Timestamp(2), vec![Value::Int(8)]),
+                ev(b, 3),
+            ],
+        );
         let res = ex.finish();
         let g = GroupKey::Global;
         assert_eq!(
@@ -2193,9 +1914,14 @@ mod tests {
         )
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
-        ex.process(&Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]));
-        ex.process(&Event::with_attrs(a, Timestamp(6), vec![Value::Int(2)]));
-        ex.process(&ev(b, 9));
+        feed(
+            &mut ex,
+            &[
+                Event::with_attrs(a, Timestamp(1), vec![Value::Int(4)]),
+                Event::with_attrs(a, Timestamp(6), vec![Value::Int(2)]),
+                ev(b, 9),
+            ],
+        );
         let res = ex.finish();
         let g = GroupKey::Global;
         // window 0..12 holds both sequences (min 2), window 4..16 only
@@ -2226,7 +1952,7 @@ mod tests {
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
         ex.set_lateness(4); // covers the shuffle below (max regression 3)
         for e in [ev(b, 3), ev(a, 1), ev(b, 7), ev(a, 4)] {
-            ex.process(&e);
+            feed(&mut ex, &[e]); // one-row batches: the watermark moves per row
         }
         assert_eq!(ex.late_rows_dropped(), 0);
         let got = ex.finish();
@@ -2247,9 +1973,9 @@ mod tests {
         .unwrap();
         let mut ex = Executor::new(&c, &w, &SharingPlan::non_shared()).unwrap();
         ex.set_lateness(2);
-        ex.process(&ev(a, 10)); // watermark 8
-        ex.process(&ev(a, 5)); // 5 < 8: late — dropped and counted
-        ex.process(&ev(a, 8)); // 8 == watermark: admitted
+        feed(&mut ex, &[ev(a, 10)]); // watermark 8
+        feed(&mut ex, &[ev(a, 5)]); // 5 < 8: late — dropped and counted
+        feed(&mut ex, &[ev(a, 8)]); // 8 == watermark: admitted
         assert_eq!(ex.late_rows_dropped(), 1);
         let res = ex.finish();
         assert_eq!(
@@ -2408,7 +2134,7 @@ mod tests {
         let mut got = ExecutorResults::new();
         let mut matched = 0;
         for shard in 0..n_shards {
-            let mut engines: Vec<EngineKind> = parts
+            let mut engines: Vec<Box<dyn PartitionEngine>> = parts
                 .iter()
                 .enumerate()
                 .map(|(pi, p)| {
@@ -2417,7 +2143,7 @@ mod tests {
                         of: n_shards,
                         owns_global: pi as u32 % n_shards == shard,
                     };
-                    EngineKind::for_partition(p.clone(), Some(slice))
+                    for_partition(p.clone(), Some(slice))
                 })
                 .collect();
             for engine in &mut engines {
@@ -2425,7 +2151,9 @@ mod tests {
             }
             for engine in engines {
                 matched += engine.events_matched();
-                got.merge(engine.finish());
+                let (results, partials) = engine.finish_parts();
+                assert!(partials.is_empty(), "no group was split");
+                got.merge(results);
             }
         }
         assert_eq!(matched, want_matched, "shard ownership partitions rows");
@@ -2442,9 +2170,8 @@ mod tests {
         .unwrap();
         let mut ex = Executor::non_shared(&c, &w).unwrap();
         let a = c.lookup("A").unwrap();
-        ex.process(&ev(a, 1));
         let unknown = EventTypeId(99);
-        ex.process(&ev(unknown, 2)); // ignored entirely
+        feed(&mut ex, &[ev(a, 1), ev(unknown, 2)]); // the unknown type is ignored
         assert_eq!(ex.events_matched(), 1);
         assert!(ex.cell_count() >= 1);
     }
@@ -2486,14 +2213,11 @@ mod tests {
         let run = |spill: Option<&SpillConfig>| {
             let mut ex = Executor::non_shared(&c, &w).unwrap();
             if let Some(cfg) = spill {
-                let Executor::__Internal(engines) = &mut ex;
-                for (i, e) in engines.iter_mut().enumerate() {
+                for (i, e) in ex.engines.iter_mut().enumerate() {
                     e.set_spill(cfg, &format!("engine-test-{i}")).unwrap();
                 }
             }
-            for e in &events {
-                ex.process(e);
-            }
+            feed(&mut ex, &events);
             ex.finish()
         };
 
@@ -2525,19 +2249,15 @@ mod tests {
         let cut = events.len() / 2 + 3;
 
         let mut reference = Executor::non_shared(&c, &w).unwrap();
-        for e in &events {
-            reference.process(e);
-        }
+        feed(&mut reference, &events);
         let want_matched = reference.events_matched();
         let want = reference.finish();
 
         let mut first = Executor::non_shared(&c, &w).unwrap();
-        for e in &events[..cut] {
-            first.process(e);
-        }
+        feed(&mut first, &events[..cut]);
         let blobs: Vec<Vec<u8>> = {
-            let Executor::__Internal(engines) = &mut first;
-            engines
+            first
+                .engines
                 .iter_mut()
                 .map(|e| {
                     let mut sw = crate::checkpoint::StateWriter::new();
@@ -2549,17 +2269,14 @@ mod tests {
 
         let mut resumed = Executor::non_shared(&c, &w).unwrap();
         {
-            let Executor::__Internal(engines) = &mut resumed;
-            assert_eq!(engines.len(), blobs.len());
-            for (e, b) in engines.iter_mut().zip(&blobs) {
+            assert_eq!(resumed.engines.len(), blobs.len());
+            for (e, b) in resumed.engines.iter_mut().zip(&blobs) {
                 let mut sr = crate::checkpoint::StateReader::new(b);
                 e.load_state(&mut sr).unwrap();
                 assert!(sr.is_exhausted(), "engine state fully consumed");
             }
         }
-        for e in &events[cut..] {
-            resumed.process(e);
-        }
+        feed(&mut resumed, &events[cut..]);
         assert_eq!(resumed.events_matched(), want_matched);
         assert!(
             resumed.finish().semantically_eq(&want, 0.0),
@@ -2571,7 +2288,7 @@ mod tests {
     fn engine_load_state_rejects_kind_mismatch() {
         let (c, w, _) = grouped_setup(2);
         let mut ex = Executor::non_shared(&c, &w).unwrap();
-        let Executor::__Internal(engines) = &mut ex;
+        let engines = &mut ex.engines;
         let mut sw = crate::checkpoint::StateWriter::new();
         engines[0].save_state(&mut sw);
         let mut bytes = sw.into_bytes();

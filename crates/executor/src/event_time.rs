@@ -31,10 +31,11 @@ use std::collections::BinaryHeap;
 
 /// A buffered row awaiting its watermark release.
 ///
-/// The payload unifies the engines' row path (`pre_routed` /
-/// `state_only` flags) with the two-step baselines' scope-fan path (the
-/// `scope` index); each consumer uses the fields it dispatches on and
-/// leaves the rest at their defaults.
+/// Every admitted row has already passed its scope's stateless prefix
+/// (routing, predicates, groupability). The payload unifies the engines'
+/// row path (the `state_only` flag) with the two-step baselines' scope
+/// path (the `scope` index); each consumer uses the fields it dispatches
+/// on and leaves the rest at their defaults.
 #[derive(Debug, Clone)]
 pub struct PendingRow {
     /// Event time of the row.
@@ -44,10 +45,8 @@ pub struct PendingRow {
     pub seq: u64,
     /// Event type of the row.
     pub ty: EventTypeId,
-    /// Routing-scope index (two-step scope-fan consumers; engines: 0).
+    /// Routing-scope index (two-step scope consumers; engines: 0).
     pub scope: u32,
-    /// The stateless prefix (routing/predicates/ownership) already ran.
-    pub pre_routed: bool,
     /// Broadcast replica of a split group (engines only).
     pub state_only: bool,
     /// The row's attribute values (pooled buffer).
@@ -147,7 +146,6 @@ impl Reorder {
         time: Timestamp,
         attrs: &[Value],
         scope: u32,
-        pre_routed: bool,
         state_only: bool,
     ) -> bool {
         if time < self.watermark {
@@ -165,7 +163,6 @@ impl Reorder {
             seq: self.seq,
             ty,
             scope,
-            pre_routed,
             state_only,
             attrs: buf,
         }));
@@ -223,7 +220,6 @@ impl Reorder {
             w.u64(row.seq);
             w.u32(row.ty.0);
             w.u32(row.scope);
-            w.bool(row.pre_routed);
             w.bool(row.state_only);
             w.seq_len(row.attrs.len());
             for v in &row.attrs {
@@ -253,7 +249,6 @@ impl Reorder {
             let seq = r.u64()?;
             let ty = EventTypeId(r.u32()?);
             let scope = r.u32()?;
-            let pre_routed = r.bool()?;
             let state_only = r.bool()?;
             let n_attrs = r.seq_len()?;
             let mut attrs = Vec::with_capacity(n_attrs);
@@ -265,7 +260,6 @@ impl Reorder {
                 seq,
                 ty,
                 scope,
-                pre_routed,
                 state_only,
                 attrs,
             }));
@@ -284,7 +278,6 @@ mod tests {
             Timestamp(t),
             &[Value::Int(t as i64)],
             0,
-            false,
             false,
         )
     }
@@ -322,7 +315,7 @@ mod tests {
         assert!(admit(&mut g, 8), "8 == watermark: admitted");
         assert_eq!(g.late_rows_dropped(), 1);
         // replica copies never count
-        assert!(!g.admit(EventTypeId(0), Timestamp(7), &[], 0, true, true));
+        assert!(!g.admit(EventTypeId(0), Timestamp(7), &[], 0, true));
         assert_eq!(g.late_rows_dropped(), 1);
         g.open();
         assert_eq!(drain(&mut g), vec![8, 10]);
@@ -339,9 +332,9 @@ mod tests {
     #[test]
     fn equal_timestamps_release_in_admission_order() {
         let mut g = Reorder::new(10);
-        g.admit(EventTypeId(1), Timestamp(5), &[], 0, false, false);
-        g.admit(EventTypeId(2), Timestamp(5), &[], 0, false, false);
-        g.admit(EventTypeId(3), Timestamp(5), &[], 0, false, false);
+        g.admit(EventTypeId(1), Timestamp(5), &[], 0, false);
+        g.admit(EventTypeId(2), Timestamp(5), &[], 0, false);
+        g.admit(EventTypeId(3), Timestamp(5), &[], 0, false);
         g.open();
         let tys: Vec<u32> = std::iter::from_fn(|| g.pop_ready().map(|r| r.ty.0)).collect();
         assert_eq!(tys, vec![1, 2, 3]);

@@ -45,7 +45,7 @@ pub use checkpoint::{
 };
 pub use compile::{compile, CompileError, CompiledPartition};
 pub use config::{EnvError, RuntimeOptions};
-pub use engine::{Engine, EngineKind, Executor, ShardSlice};
+pub use engine::{for_partition, Engine, Executor, PartitionEngine, ShardSlice};
 pub use event_time::{PendingRow, Reorder};
 pub use partial::{PartialEntry, PartialResults};
 pub use processor::BatchProcessor;

@@ -8,21 +8,21 @@
 //! *stateful dispatch* folds only those rows into per-group state.
 //! [`BatchProcessor`] captures that contract behind one trait so callers
 //! (the strategy layer, the framework, the CLI, the benches) drive every
-//! strategy identically — no per-strategy match arms, and no row-form
-//! [`Event`] is ever materialized on a batch path.
+//! strategy identically — no per-strategy match arms. Columnar batches
+//! are the only way in: callers holding row-form events build a batch
+//! with [`EventBatch::from_events`] or [`EventBatch::push_event`].
 //!
 //! Implementors: [`crate::Executor`] (online engines),
 //! [`crate::ShardedExecutor`] (route-once parallel runtime), and the
 //! `sharon-twostep` crate's `FlinkLike` / `SpassLike` baselines.
 
 use crate::results::ExecutorResults;
-use sharon_types::{Event, EventBatch};
+use sharon_types::EventBatch;
 
-/// A columnar operator: consumes time-ordered [`EventBatch`]es (the native
-/// form of every hot path) plus row-form events through a compatibility
-/// shim, and produces [`ExecutorResults`] when finished.
+/// A columnar operator: consumes time-ordered [`EventBatch`]es and
+/// produces [`ExecutorResults`] when finished.
 ///
-/// All ingestion methods require global timestamp order across calls, the
+/// Ingestion requires global timestamp order across calls, the
 /// same contract every executor in the system already imposes — unless
 /// the caller enables event-time processing via
 /// [`BatchProcessor::set_lateness`], after which input may carry bounded
@@ -30,21 +30,8 @@ use sharon_types::{Event, EventBatch};
 /// and release in event-time order, and rows behind the watermark are
 /// dropped and counted ([`sharon_metrics::late_rows_dropped`]).
 pub trait BatchProcessor: Send {
-    /// Process one row-form event (the per-event compatibility shim).
-    fn process_event(&mut self, e: &Event);
-
-    /// Process a time-ordered slice of row-form events. The default loops
-    /// [`BatchProcessor::process_event`]; implementors override it when
-    /// they can amortize per-event dispatch.
-    fn process_events(&mut self, events: &[Event]) {
-        for e in events {
-            self.process_event(e);
-        }
-    }
-
     /// Process a time-ordered columnar batch: the stateless scan +
-    /// stateful dispatch pipeline. No implementation materializes a
-    /// row-form [`Event`] here.
+    /// stateful dispatch pipeline, the one ingest entry point.
     fn process_columnar(&mut self, batch: &EventBatch);
 
     /// Enable event-time processing: tolerate out-of-order input up to

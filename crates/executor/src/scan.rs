@@ -2,10 +2,11 @@
 //! (type routing, predicate clauses, groupability) evaluated over whole
 //! [`EventBatch`]es into **u64 selection bitmaps**, 64 rows per word.
 //!
-//! The per-row interpreter walks every row through `routed` →
-//! `predicates_pass` → `groupable`, paying branchy virtual-ish dispatch
-//! per row per clause. A [`ScanKernel`] compiles the scope's clause list
-//! once and evaluates it column-at-a-time:
+//! A per-row interpreter would walk every row through routing, each
+//! predicate clause and groupability, paying branchy dispatch per row per
+//! clause (the tests keep one, `scalar_select`, as the kernel's oracle). A
+//! [`ScanKernel`] compiles the scope's clause list once and evaluates it
+//! column-at-a-time:
 //!
 //! 1. **Routing + groupability pass** — one fused sweep over the `ty` and
 //!    row-offset columns builds the candidate bitmap: a single per-type
@@ -37,10 +38,9 @@
 //! (numeric vs. string, NaN comparisons) satisfies only `!=`, `Int` vs
 //! `Int` compares exactly in `i64` (no precision loss past 2^53), and
 //! mixed numeric comparisons go through `f64` exactly like
-//! [`Value::partial_cmp`]. Every executor's columnar path runs the
-//! kernel; the per-row interpreter survives only in the row-form
-//! `Engine::process` path and as the differential-testing oracle of the
-//! parity tests.
+//! [`Value::partial_cmp`]. Every executor's ingest path runs the
+//! kernel; the per-row interpreter survives only as the
+//! differential-testing oracle of the parity tests.
 
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::{AttrId, EventBatch, Value};
@@ -551,8 +551,8 @@ mod tests {
     use super::*;
     use sharon_types::{EventTypeId, Timestamp};
 
-    /// The scalar oracle: exactly the per-row interpreter of the row-form
-    /// `Engine::process` path.
+    /// The scalar oracle: a per-row interpreter of routing, predicate
+    /// clauses ([`clause_passes`]) and groupability.
     fn scalar_select(
         routed: &[bool],
         group_attrs: &[Box<[AttrId]>],

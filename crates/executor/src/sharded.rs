@@ -120,7 +120,7 @@ use crate::checkpoint::{
     StateError, StateReader, StateWriter,
 };
 use crate::compile::{compile, CompileError, CompiledPartition};
-use crate::engine::{EngineKind, ShardSlice};
+use crate::engine::{for_partition, PartitionEngine, ShardSlice};
 use crate::partial::PartialResults;
 use crate::processor::BatchProcessor;
 use crate::results::ExecutorResults;
@@ -129,7 +129,7 @@ use crate::scan::ScanCounters;
 use crate::spill::SpillConfig;
 use crate::spsc;
 use sharon_query::{SharingPlan, Workload};
-use sharon_types::{Catalog, Event, EventBatch, EventStream, Timestamp};
+use sharon_types::{Catalog, EventBatch, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -375,10 +375,10 @@ pub trait ShardProcessor: Send {
     fn finish(self: Box<Self>) -> ShardReport;
 }
 
-/// The online strategies' shard worker: one [`EngineKind`] per compiled
-/// partition, each restricted to this shard's [`ShardSlice`].
+/// The online strategies' shard worker: one [`PartitionEngine`] per
+/// compiled partition, each restricted to this shard's [`ShardSlice`].
 struct EngineShard {
-    engines: Vec<EngineKind>,
+    engines: Vec<Box<dyn PartitionEngine>>,
 }
 
 impl ShardProcessor for EngineShard {
@@ -410,7 +410,7 @@ impl ShardProcessor for EngineShard {
     }
 
     fn events_matched(&self) -> u64 {
-        self.engines.iter().map(EngineKind::events_matched).sum()
+        self.engines.iter().map(|e| e.events_matched()).sum()
     }
 
     fn save_state(&mut self) -> Option<Vec<u8>> {
@@ -452,15 +452,8 @@ impl ShardProcessor for EngineShard {
         for engine in &mut self.engines {
             engine.flush_pending();
         }
-        let events_matched = self.engines.iter().map(EngineKind::events_matched).sum();
-        let state_size = self
-            .engines
-            .iter()
-            .map(|e| match e {
-                EngineKind::Count(en) => en.cell_count(),
-                EngineKind::Stats(en) => en.cell_count(),
-            })
-            .sum();
+        let events_matched = self.engines.iter().map(|e| e.events_matched()).sum();
+        let state_size = self.engines.iter().map(|e| e.cell_count()).sum();
         let mut results = ExecutorResults::new();
         let mut partials = PartialResults::new();
         for engine in self.engines {
@@ -779,8 +772,8 @@ struct Checkpointer {
     interval_batches: u64,
 }
 
-/// Build the online engine shards for `parts`: one [`EngineKind`] per
-/// compiled partition per shard, each restricted to its [`ShardSlice`],
+/// Build the online engine shards for `parts`: one [`PartitionEngine`]
+/// per compiled partition per shard, each restricted to its [`ShardSlice`],
 /// with the spill tier armed when configured.
 fn engine_shards(
     parts: &[CompiledPartition],
@@ -790,7 +783,7 @@ fn engine_shards(
 ) -> Vec<Box<dyn ShardProcessor>> {
     (0..n_shards)
         .map(|shard| {
-            let engines: Vec<EngineKind> = parts
+            let engines: Vec<Box<dyn PartitionEngine>> = parts
                 .iter()
                 .enumerate()
                 .map(|(pi, part)| {
@@ -799,7 +792,7 @@ fn engine_shards(
                         of: n_shards as u32,
                         owns_global: pi % n_shards == shard,
                     };
-                    let mut engine = EngineKind::for_partition(part.clone(), Some(slice));
+                    let mut engine = for_partition(part.clone(), Some(slice));
                     if let Some(cfg) = spill {
                         engine
                             .set_spill(cfg, &format!("{shard}-{pi}"))
@@ -853,9 +846,10 @@ fn reorder_burst(batch: &EventBatch, lo: usize, hi: usize, k: u32) -> EventBatch
 /// [`ShardedExecutor::resume`] restarts them from the latest complete
 /// checkpoint; [`ShardedExecutor::from_parts`] hosts *any* routing plane
 /// of [`RouteBatch`]es + [`ShardProcessor`]s, which is how the two-step
-/// baselines run sharded. Events are accepted one at a time, in row-form
-/// batches, or in columnar batches; the router threads route each
-/// buffered batch once, overlapped with execution, and fan the per-shard
+/// baselines run sharded. Events are accepted in columnar batches, copied
+/// into the fill buffer ([`ShardedExecutor::process_columnar`]) or shared
+/// zero-copy ([`ShardedExecutor::process_shared`]); the router threads
+/// route each buffered batch once, overlapped with execution, and fan the per-shard
 /// row lists out over SPSC rings (see the module docs).
 /// [`ShardedExecutor::finish`] drains the pipeline and merges the
 /// disjoint shard results.
@@ -1353,24 +1347,6 @@ impl ShardedExecutor {
         Arc::get_mut(&mut self.buffer).expect("fill buffer is uniquely owned between flushes")
     }
 
-    /// Enqueue one event (flushed when the batch threshold is reached).
-    pub fn process(&mut self, e: &Event) {
-        self.buf().push_event(e);
-        if self.buffer.len() >= self.batch_size {
-            self.flush();
-        }
-    }
-
-    /// Enqueue a time-ordered batch of row-form events.
-    pub fn process_batch(&mut self, events: &[Event]) {
-        for e in events {
-            self.buf().push_event(e);
-            if self.buffer.len() >= self.batch_size {
-                self.flush();
-            }
-        }
-    }
-
     /// Enqueue a time-ordered columnar batch (any size; it is re-chunked
     /// to the flush threshold internally). Copies the rows into the
     /// internal buffer; callers that already own an [`Arc`]-shared batch
@@ -1403,20 +1379,6 @@ impl ShardedExecutor {
             self.dispatch_range(batch, lo, hi);
             lo = hi;
         }
-    }
-
-    /// Drain a stream through the executor.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        loop {
-            let free = self.batch_size.saturating_sub(self.buffer.len()).max(1);
-            if stream.next_batch_columnar(free, self.buf()) == 0 {
-                break;
-            }
-            if self.buffer.len() >= self.batch_size {
-                self.flush();
-            }
-        }
-        self
     }
 
     /// A cleared batch body for the next fill: a drained in-flight batch
@@ -1744,14 +1706,6 @@ impl Drop for ShardedExecutor {
 }
 
 impl BatchProcessor for ShardedExecutor {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
-    fn process_events(&mut self, events: &[Event]) {
-        self.process_batch(events);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
         ShardedExecutor::process_columnar(self, batch);
     }
@@ -1795,7 +1749,7 @@ mod tests {
     use super::*;
     use crate::engine::Executor;
     use sharon_query::{parse_workload, QueryId};
-    use sharon_types::{GroupKey, Schema, Timestamp, Value};
+    use sharon_types::{Event, GroupKey, Schema, Timestamp, Value};
 
     fn grouped_workload() -> (Catalog, Workload) {
         let mut c = Catalog::new();
@@ -1832,6 +1786,11 @@ mod tests {
             .collect()
     }
 
+    /// `events` as one time-ordered columnar batch.
+    fn batch(events: &[Event]) -> EventBatch {
+        EventBatch::from_events(events)
+    }
+
     /// The A-Seq sharded runtime over `n_shards` shards.
     fn non_shared(c: &Catalog, w: &Workload, n_shards: usize) -> ShardedExecutor {
         with_batch(c, w, n_shards, DEFAULT_BATCH_SIZE)
@@ -1864,7 +1823,7 @@ mod tests {
         let events = stream(&c, 4000, 37);
 
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
         assert!(!want.is_empty());
@@ -1872,7 +1831,7 @@ mod tests {
         for shards in [1usize, 2, 3, 8] {
             let mut sharded = non_shared(&c, &w, shards);
             for chunk in events.chunks(97) {
-                sharded.process_batch(chunk);
+                sharded.process_columnar(&batch(chunk));
             }
             let (got, matched, _state) = sharded.finish_with_stats();
             assert!(
@@ -1888,7 +1847,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 5000, 23);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
 
@@ -1901,7 +1860,7 @@ mod tests {
             };
             let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 3, options).unwrap();
             assert_eq!(sharded.pipeline_depth(), depth);
-            sharded.process_batch(&events);
+            sharded.process_columnar(&batch(&events));
             let (got, matched, _) = sharded.finish_with_stats();
             assert!(
                 got.semantically_eq(&want, 1e-9),
@@ -1912,28 +1871,25 @@ mod tests {
     }
 
     #[test]
-    fn columnar_ingestion_matches_row_form() {
+    fn oversized_and_shared_batches_match_sequential() {
         let (c, w) = grouped_workload();
         let events = stream(&c, 3000, 19);
-        let batch = EventBatch::from_events(&events);
-
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want = sequential.finish();
 
         // one oversized columnar push: re-chunked internally
         let mut sharded = non_shared(&c, &w, 3);
-        sharded.process_columnar(&batch);
+        sharded.process_columnar(&batch(&events));
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
 
-        // the zero-copy shared-batch path agrees too (mixed with a few
-        // buffered row-form events first, to cover the order-preserving
-        // pre-flush)
+        // the zero-copy shared-batch path agrees too (after a few buffered
+        // rows, to cover the order-preserving pre-flush)
         let (head, tail) = events.split_at(100);
-        let shared = Arc::new(EventBatch::from_events(tail));
+        let shared = Arc::new(batch(tail));
         let mut sharded = non_shared(&c, &w, 3);
-        sharded.process_batch(head);
+        sharded.process_columnar(&batch(head));
         sharded.process_shared(&shared);
         let (got, matched, _) = sharded.finish_with_stats();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -1958,11 +1914,11 @@ mod tests {
             .collect();
 
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want = sequential.finish();
 
         let mut sharded = non_shared(&c, &w, 4);
-        sharded.process_batch(&events);
+        sharded.process_columnar(&batch(&events));
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
         assert!(got.total_count(QueryId(0)) > 0);
@@ -1979,12 +1935,12 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 500, 5);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want = sequential.finish();
 
         let mut sharded = with_batch(&c, &w, 2, 64);
         for e in &events {
-            sharded.process(e);
+            sharded.process_columnar(&batch(std::slice::from_ref(e)));
         }
         let got = sharded.finish();
         assert!(got.semantically_eq(&want, 1e-9));
@@ -1997,7 +1953,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 2000, 11);
         let mut sharded = with_batch(&c, &w, 3, 64);
-        sharded.process_batch(&events);
+        sharded.process_columnar(&batch(&events));
         drop(sharded); // joins; a deadlock here fails the test by timeout
     }
 
@@ -2010,11 +1966,11 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 3000, 7);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want = sequential.finish();
 
         let mut sharded = with_batch(&c, &w, 2, 32);
-        sharded.process_batch(&events);
+        sharded.process_columnar(&batch(&events));
         assert!(
             !sharded.batch_pool.is_empty(),
             "flushed batch bodies are pooled for reuse"
@@ -2036,7 +1992,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 5000, 23);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
 
@@ -2056,7 +2012,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(sharded.n_routers(), routers);
-            sharded.process_batch(&events);
+            sharded.process_columnar(&batch(&events));
 
             // barrier-sync so the per-router counters cover every batch:
             // ingest fans each batch to the whole plane, so every router
@@ -2115,15 +2071,15 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 4000, 13);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want = sequential.finish();
 
         let mut sharded = with_batch(&c, &w, 3, 64);
         let (head, tail) = events.split_at(events.len() / 2);
-        sharded.process_batch(head);
+        sharded.process_columnar(&batch(head));
         let mut drained = sharded.harvest_results().expect("first harvest");
         let mid = drained.len();
-        sharded.process_batch(tail);
+        sharded.process_columnar(&batch(tail));
         drained.merge(sharded.harvest_results().expect("second harvest"));
         drained.merge(sharded.finish());
         assert!(
@@ -2140,7 +2096,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 4000, 37);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want_matched = sequential.events_matched();
         let want = sequential.finish();
 
@@ -2153,7 +2109,7 @@ mod tests {
         };
         let written_before = sharon_metrics::checkpoints_written();
         let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 3, options.clone()).unwrap();
-        sharded.process_batch(&events[..2400]);
+        sharded.process_columnar(&batch(&events[..2400]));
         assert!(
             sharon_metrics::checkpoints_written() >= written_before + 4,
             "periodic checkpoints were taken"
@@ -2166,7 +2122,7 @@ mod tests {
             "latest complete checkpoint is 16 batches of 128"
         );
         assert_eq!(resumed.events_sent(), offset);
-        resumed.process_batch(&events[offset as usize..]);
+        resumed.process_columnar(&batch(&events[offset as usize..]));
         let (got, matched, _) = resumed.finish_with_stats();
         assert!(
             got.semantically_eq(&want, 1e-9),
@@ -2189,7 +2145,7 @@ mod tests {
         let sharded = ShardedExecutor::with_options(&c, &w, &plan, 3, options).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let mut sharded = sharded;
-            sharded.process_batch(&events);
+            sharded.process_columnar(&batch(&events));
             sharded.finish()
         }));
         let err = result.expect_err("a panicked worker must fail the run");
@@ -2212,7 +2168,7 @@ mod tests {
             ..ShardedOptions::default()
         };
         let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 2, options).unwrap();
-        sharded.process_batch(&events);
+        sharded.process_columnar(&batch(&events));
         assert_eq!(
             sharded.events_sent(),
             3 * 64,
@@ -2263,7 +2219,7 @@ mod tests {
         let (c, w) = grouped_workload();
         let events = stream(&c, 3000, 53);
         let mut sequential = Executor::non_shared(&c, &w).unwrap();
-        sequential.process_batch(&events);
+        sequential.process_columnar(&batch(&events));
         let want = sequential.finish();
 
         let dir = test_dir("spill");
@@ -2275,7 +2231,7 @@ mod tests {
         };
         let spills_before = sharon_metrics::group_spills();
         let mut sharded = ShardedExecutor::with_options(&c, &w, &plan, 2, options).unwrap();
-        sharded.process_batch(&events);
+        sharded.process_columnar(&batch(&events));
         let got = sharded.finish();
         assert!(
             got.semantically_eq(&want, 1e-9),

@@ -4,25 +4,32 @@
 //! queries.
 //!
 //! All methods operate on `(type, attrs)` column data — the baselines run
-//! natively over [`sharon_types::EventBatch`] rows and never materialize a
-//! row-form event on the batch path. [`ScopeFilter`] packages one
-//! baseline routing scope (a query for Flink-like, a sharing-signature
-//! partition for SPASS-like) as a [`RowFilter`], which is what lets the
-//! sharded runtime's route-once [`sharon_executor::BatchRouter`] fan
-//! baseline work out across shards.
+//! natively over [`EventBatch`] rows and never materialize a row-form
+//! event. [`ScopeFilter`] packages one baseline routing scope (a query for
+//! Flink-like, a sharing-signature partition for SPASS-like) as a
+//! [`RowFilter`], which is what lets the sharded runtime's route-once
+//! [`sharon_executor::BatchRouter`] fan baseline work out across shards.
+//!
+//! [`TwoStep`] is the executor core both baselines share: one compiled scan per
+//! scope, one [`ScopeKernel`] trait object per scope for the stateful
+//! side, the event-time gate, and the result store. [`ScopeFanShard`] is
+//! the shard worker both run on the sharded runtime.
 
 use sharon_executor::agg::Contribution;
 use sharon_executor::compile::CompileError;
-use sharon_executor::{RowFilter, ScanKernel, ShardedOptions};
-use sharon_query::{clause_passes, CmpOp, Query};
-use sharon_types::{AttrId, Catalog, EventTypeId, GroupKey, Value};
+use sharon_executor::{
+    split_router_plane, ExecutorResults, Reorder, RoutedRows, RowFilter, ScanKernel,
+    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions,
+};
+use sharon_query::{CmpOp, Query};
+use sharon_types::{AttrId, Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value};
 use std::collections::HashMap;
 
 /// Refuse durability options on a sharded two-step baseline: its shard
 /// processors cannot serialize their state, and silently running without
 /// the asked-for checkpoints, spill tier, or fault injection would be
 /// worse than refusing.
-pub(crate) fn assert_durability_free(options: &ShardedOptions, baseline: &str) {
+fn assert_durability_free(options: &ShardedOptions, baseline: &str) {
     assert!(
         options.checkpoint.is_none() && options.spill.is_none() && options.fault.is_none(),
         "the {baseline} two-step baseline does not support checkpoint/spill/fault options"
@@ -125,17 +132,6 @@ impl TypeTable {
         }
     }
 
-    /// Evaluate this table's predicates on a `(type, attrs)` row
-    /// (vacuously true for unconstrained types).
-    pub fn passes(&self, ty: EventTypeId, attrs: &[Value]) -> bool {
-        match self.predicates.get(ty.index()) {
-            Some(preds) => preds
-                .iter()
-                .all(|(attr, op, lit)| clause_passes(*op, attrs.get(attr.index()), lit)),
-            None => true,
-        }
-    }
-
     /// Build the row's group key into `key` (reusing the `vals` scratch
     /// buffer, so the steady-state path allocates nothing), returning
     /// `false` if a grouping attribute is absent. With no `GROUP BY`,
@@ -181,10 +177,8 @@ impl TypeTable {
 }
 
 /// Dense per-type-id routing bitmap: `true` where any of `queries`'
-/// patterns contains the type. The **single** definition used by both the
-/// sequential kernels' pre-passes and the sharded router's scopes, so the
-/// two sides cannot drift apart on what routes.
-pub(crate) fn routed_bitmap(queries: &[&Query]) -> Vec<bool> {
+/// patterns contains the type.
+fn routed_bitmap(queries: &[&Query]) -> Vec<bool> {
     let max_ty = queries
         .iter()
         .flat_map(|q| q.pattern.types())
@@ -226,8 +220,10 @@ impl ScopeFilter {
     }
 
     /// Compile this scope's stateless prefix into a vectorized
-    /// [`ScanKernel`] (used by the baselines' columnar pre-passes and,
-    /// via [`RowFilter::scan_kernel`], by the sharded batch router).
+    /// [`ScanKernel`] — the **single** definition used by both the
+    /// sequential scans of [`TwoStep`] and, via
+    /// [`RowFilter::scan_kernel`], the sharded batch router, so the two
+    /// sides cannot drift apart on what routes.
     pub fn compile_scan(&self) -> ScanKernel {
         ScanKernel::new(
             self.routed.clone(),
@@ -298,7 +294,7 @@ pub struct ScopeKey {
 /// indexes subscribing to each — the worker side fans each distinct
 /// scope's row selection out to all of its subscribers. With no duplicate
 /// scopes this is the identity (`subscribers[i] == [i]`).
-pub(crate) fn dedup_scopes(scopes: Vec<ScopeFilter>) -> (Vec<ScopeFilter>, Vec<Vec<usize>>) {
+fn dedup_scopes(scopes: Vec<ScopeFilter>) -> (Vec<ScopeFilter>, Vec<Vec<usize>>) {
     let mut index: HashMap<ScopeKey, usize> = HashMap::with_capacity(scopes.len());
     let mut distinct = Vec::new();
     let mut subscribers: Vec<Vec<usize>> = Vec::new();
@@ -336,6 +332,340 @@ impl RowFilter for ScopeFilter {
         let routed_types = self.routed.iter().filter(|&&r| r).count();
         let clauses: usize = self.table.predicates.iter().map(Vec::len).sum();
         (1.0 + clauses as f64) * (routed_types as f64 / total_types as f64).max(f64::MIN_POSITIVE)
+    }
+}
+
+/// The stateful side of one two-step routing scope (a Flink-like query or
+/// a SPASS-like signature partition), monomorphized on its aggregate
+/// kernel. [`TwoStep`] dispatches to it once per batch per scope; every
+/// row it sees already passed the scope's stateless prefix.
+pub(crate) trait ScopeKernel: Send {
+    /// Fold one selected row, in time order.
+    fn process_row(
+        &mut self,
+        ty: EventTypeId,
+        time: Timestamp,
+        attrs: &[Value],
+        results: &mut ExecutorResults,
+    );
+
+    /// Fold the selected rows `rows` of `batch`, in order.
+    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
+        for &row in rows {
+            let row = row as usize;
+            self.process_row(batch.ty(row), batch.time(row), batch.attrs(row), results);
+        }
+    }
+
+    /// Flush every open window into `results`.
+    fn finish(&mut self, results: &mut ExecutorResults);
+
+    /// Pre-size `results` for about `additional` results per query.
+    fn reserve_results(&self, results: &mut ExecutorResults, additional: usize);
+
+    /// Sequences (and segment matches) explicitly constructed so far.
+    fn sequences_constructed(&self) -> u64;
+
+    /// Rows this scope folded (its "matched" count).
+    fn events_matched(&self) -> u64;
+
+    /// State-size proxy: buffered events, plus materialized matches where
+    /// the scope keeps them.
+    fn state_size(&self) -> usize;
+}
+
+/// One scope's compiled stateless prefix plus its scan tallies.
+struct ScopeScan {
+    kernel: ScanKernel,
+    rows_scanned: u64,
+    rows_selected: u64,
+}
+
+/// The two-step executor core both baselines share: per scope a compiled scan and
+/// a [`ScopeKernel`], plus the event-time gate and the result store.
+pub(crate) struct TwoStep {
+    scans: Vec<ScopeScan>,
+    scopes: Vec<Box<dyn ScopeKernel>>,
+    /// Reused row-selection buffer of the scans.
+    sel: Vec<u32>,
+    results: ExecutorResults,
+    last_time: Timestamp,
+    /// Event-time reorder gate (see [`Reorder`]); `None` keeps the
+    /// historical arrival-order contract. Rows enter it only after their
+    /// scope's scan selected them, tagged with the scope index.
+    reorder: Option<Reorder>,
+}
+
+impl TwoStep {
+    /// An executor core over `scopes`: each scope's scan kernel and stateful side.
+    pub fn new(scopes: Vec<(ScanKernel, Box<dyn ScopeKernel>)>) -> Self {
+        let (scans, scopes) = scopes
+            .into_iter()
+            .map(|(kernel, scope)| {
+                let scan = ScopeScan {
+                    kernel,
+                    rows_scanned: 0,
+                    rows_selected: 0,
+                };
+                (scan, scope)
+            })
+            .unzip();
+        TwoStep {
+            scans,
+            scopes,
+            sel: Vec::new(),
+            results: ExecutorResults::new(),
+            last_time: Timestamp::ZERO,
+            reorder: None,
+        }
+    }
+
+    /// Enable event-time processing (see [`Reorder`]).
+    pub fn set_lateness(&mut self, lateness_ms: u64) {
+        self.reorder = Some(Reorder::new(lateness_ms));
+    }
+
+    /// Late rows dropped by the event-time gate (0 when no gate).
+    pub fn late_rows_dropped(&self) -> u64 {
+        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
+    }
+
+    /// Process a time-ordered columnar batch: each scope runs its scan
+    /// over the whole batch, then folds the selected rows while its state
+    /// is hot. With an event-time gate, the selected rows are admitted
+    /// tagged with their scope, and the watermark advances to the batch's
+    /// maximum timestamp afterwards.
+    pub fn process_columnar(&mut self, batch: &EventBatch) {
+        if self.reorder.is_none() {
+            if let Some(&t) = batch.times().last() {
+                debug_assert!(t >= self.last_time, "batches must be time-ordered");
+                self.last_time = t;
+            }
+        }
+        let mut sel = std::mem::take(&mut self.sel);
+        for (si, scan) in self.scans.iter_mut().enumerate() {
+            sel.clear();
+            scan.kernel.select_into(batch, 0, batch.len(), &mut sel);
+            scan.rows_scanned += batch.len() as u64;
+            scan.rows_selected += sel.len() as u64;
+            sharon_metrics::record_rows_scanned(batch.len() as u64);
+            sharon_metrics::record_rows_selected(sel.len() as u64);
+            match &mut self.reorder {
+                None => self.scopes[si].process_rows(batch, &sel, &mut self.results),
+                Some(gate) => {
+                    for &row in &sel {
+                        let row = row as usize;
+                        gate.admit(
+                            batch.ty(row),
+                            batch.time(row),
+                            batch.attrs(row),
+                            si as u32,
+                            false,
+                        );
+                    }
+                }
+            }
+        }
+        self.sel = sel;
+        if let Some(max) = batch.max_time() {
+            self.advance_watermark(max);
+        }
+    }
+
+    /// Fold pre-routed rows of `batch` into scope `si` (the sharded
+    /// fan-out path).
+    fn process_scope_rows(&mut self, si: usize, batch: &EventBatch, rows: &[u32]) {
+        self.scopes[si].process_rows(batch, rows, &mut self.results);
+    }
+
+    /// Fold one pre-routed row into scope `si` (the release path of an
+    /// event-time gate).
+    fn process_scope_row(&mut self, si: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
+        self.scopes[si].process_row(ty, time, attrs, &mut self.results);
+    }
+
+    /// Advance the gate's watermark and fold every released row (a no-op
+    /// without a gate).
+    fn advance_watermark(&mut self, frontier: Timestamp) {
+        let Some(gate) = &mut self.reorder else {
+            return;
+        };
+        gate.advance(frontier);
+        self.release_ready();
+    }
+
+    fn release_ready(&mut self) {
+        while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
+            self.process_scope_row(row.scope as usize, row.ty, row.time, &row.attrs);
+            if let Some(gate) = &mut self.reorder {
+                gate.recycle(row);
+            }
+        }
+    }
+
+    /// Pre-size the result store for about `additional` further results
+    /// per query.
+    pub fn reserve_results(&mut self, additional: usize) {
+        for scope in &self.scopes {
+            scope.reserve_results(&mut self.results, additional);
+        }
+    }
+
+    /// End of stream: release every gate-buffered row, flush every window,
+    /// and return the results plus the final matched count.
+    pub fn finish(mut self) -> (ExecutorResults, u64) {
+        if let Some(gate) = &mut self.reorder {
+            gate.open();
+            self.release_ready();
+        }
+        let matched = self.events_matched();
+        for scope in &mut self.scopes {
+            scope.finish(&mut self.results);
+        }
+        (self.results, matched)
+    }
+
+    /// Sequences constructed so far, summed over scopes.
+    pub fn sequences_constructed(&self) -> u64 {
+        self.scopes.iter().map(|s| s.sequences_constructed()).sum()
+    }
+
+    /// Rows the scopes folded, summed — comparable to the online engines'
+    /// per-partition matched counts.
+    pub fn events_matched(&self) -> u64 {
+        self.scopes.iter().map(|s| s.events_matched()).sum()
+    }
+
+    /// Per-scope `(rows_scanned, rows_selected)` of the scans, in scope
+    /// order.
+    pub fn scan_stats(&self) -> Vec<(u64, u64)> {
+        self.scans
+            .iter()
+            .map(|s| (s.rows_scanned, s.rows_selected))
+            .collect()
+    }
+
+    /// State-size proxy, summed over scopes.
+    pub fn state_size(&self) -> usize {
+        self.scopes.iter().map(|s| s.state_size()).sum()
+    }
+}
+
+/// Run a baseline on the sharded parallel runtime: one routing scope per
+/// entry of `scopes` (deduplicated, so the router scans each distinct
+/// scope once per batch), and one [`TwoStep`] from `build` per shard
+/// behind a [`ScopeFanShard`].
+///
+/// Panics when `options` asks for checkpoints, a spill tier, or fault
+/// injection (see [`assert_durability_free`]).
+pub(crate) fn sharded(
+    baseline: &str,
+    scopes: Vec<ScopeFilter>,
+    n_shards: usize,
+    options: &ShardedOptions,
+    build: impl Fn() -> Result<TwoStep, CompileError>,
+) -> Result<ShardedExecutor, CompileError> {
+    assert_durability_free(options, baseline);
+    let (scopes, subscribers) = dedup_scopes(scopes);
+    let plane = split_router_plane(scopes, n_shards, options.split, options.routers);
+    let shards = (0..n_shards)
+        .map(|_| {
+            build().map(|inner| {
+                Box::new(ScopeFanShard {
+                    inner,
+                    subscribers: subscribers.clone(),
+                    gate: options.lateness.map(Reorder::new),
+                }) as Box<dyn ShardProcessor>
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(ShardedExecutor::from_parts(plane, shards, options.clone()))
+}
+
+/// The shard worker of a sharded baseline: `rows.per_part` is parallel to
+/// the router's *distinct* (deduplicated) routing scopes, and each scope's
+/// row selection is folded into every subscribing scope of the baseline —
+/// the worker-side half of routing each scope once per batch. The
+/// baselines never host split groups, so replica lists and split notices
+/// are always empty here.
+pub(crate) struct ScopeFanShard {
+    inner: TwoStep,
+    /// Per distinct scope: the baseline scope indexes subscribing to it.
+    subscribers: Vec<Vec<usize>>,
+    /// Event-time gate over the pre-routed rows: admission records the
+    /// distinct scope in [`sharon_executor::PendingRow::scope`], release
+    /// fans the row back out to the scope's subscribers. `None` keeps the
+    /// arrival-order contract.
+    gate: Option<Reorder>,
+}
+
+impl ScopeFanShard {
+    /// Fold every gate-released row into its scope's subscribers.
+    fn release_ready(&mut self) {
+        while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
+            for &si in &self.subscribers[row.scope as usize] {
+                self.inner
+                    .process_scope_row(si, row.ty, row.time, &row.attrs);
+            }
+            if let Some(gate) = &mut self.gate {
+                gate.recycle(row);
+            }
+        }
+    }
+}
+
+impl ShardProcessor for ScopeFanShard {
+    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
+        debug_assert!(
+            rows.splits.is_empty() && rows.state_rows.iter().all(Vec::is_empty),
+            "baseline scopes never split groups"
+        );
+        if let Some(gate) = &mut self.gate {
+            // event-time mode: buffer each scope's rows behind the
+            // router's merged frontier and release in event-time order
+            for (scope, list) in rows.per_part.iter().enumerate() {
+                for &row in list {
+                    let row = row as usize;
+                    gate.admit(
+                        batch.ty(row),
+                        batch.time(row),
+                        batch.attrs(row),
+                        scope as u32,
+                        false,
+                    );
+                }
+            }
+            gate.advance(rows.frontier);
+            self.release_ready();
+            return;
+        }
+        for (scope, list) in rows.per_part.iter().enumerate() {
+            if list.is_empty() {
+                continue;
+            }
+            for &si in &self.subscribers[scope] {
+                self.inner.process_scope_rows(si, batch, list);
+            }
+        }
+    }
+
+    fn events_matched(&self) -> u64 {
+        self.inner.events_matched()
+    }
+
+    fn finish(mut self: Box<Self>) -> ShardReport {
+        if let Some(gate) = &mut self.gate {
+            gate.open();
+        }
+        self.release_ready();
+        let state_size = self.inner.state_size();
+        let (results, events_matched) = self.inner.finish();
+        ShardReport {
+            results,
+            events_matched,
+            state_size,
+            ..Default::default()
+        }
     }
 }
 

@@ -9,30 +9,25 @@
 //!
 //! Like every strategy in the system, the baseline is a
 //! [`BatchProcessor`]: [`FlinkLike::process_columnar`] runs, per query, a
-//! stateless scan of the batch columns (type routing, predicates,
-//! groupability) that selects row indices, then a stateful dispatch that
-//! folds only the selected rows — iterating row indices over the shared
-//! value buffer, never materializing a row-form [`Event`].
+//! compiled scan of the batch columns (type routing, predicates,
+//! groupability) that selects row indices, then folds only the selected
+//! rows into that query's `ScopeKernel` — iterating row indices over the
+//! shared value buffer, never materializing a row-form event.
 //! [`FlinkLike::sharded`] runs the baseline on the route-once parallel
 //! runtime with groups hash-partitioned across worker threads, exactly
-//! like the online engines: each worker hosts one baseline instance
-//! behind a scope-fanning [`ShardProcessor`] wrapper, and identical
-//! routing scopes are deduplicated so the router scans each distinct
-//! scope once per batch.
+//! like the online engines, and identical routing scopes are deduplicated
+//! so the router scans each distinct scope once per batch.
 
-use crate::common::{assert_durability_free, dedup_scopes, ScopeFilter, TypeTable};
+use crate::common::{sharded, ScopeFilter, ScopeKernel, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
-    split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions,
+    BatchProcessor, ExecutorResults, ScanKernel, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, Workload};
-use sharon_types::{
-    Catalog, Event, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
-};
+use sharon_types::{Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::HashMap;
 
 struct GroupState<A> {
@@ -50,24 +45,16 @@ struct QueryState<A> {
     pattern_len: usize,
     groups: HashMap<GroupKey, GroupState<A>>,
     sequences_constructed: u64,
-    /// Rows that survived this query's stateless scan (routing,
-    /// predicates, grouping) — the same notion of "matched" the online
-    /// engines report per partition.
+    /// Rows that survived this query's scan (routing, predicates,
+    /// grouping) — the same notion of "matched" the online engines report
+    /// per partition.
     events_matched: u64,
     /// Reused per-row key storage — the hot path never allocates a fresh
     /// key; cloning happens only on first sight of a group.
     key_scratch: GroupKey,
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the columnar pre-pass.
-    sel_scratch: Vec<u32>,
     /// Reused emission buffer for closing windows.
     emit_scratch: Vec<(u64, A)>,
-    /// Compiled scan kernel of the columnar pre-pass.
-    scan: ScanKernel,
-    /// Rows examined by this query's columnar pre-pass.
-    rows_scanned: u64,
-    /// Rows that survived routing + predicates + groupability.
-    rows_selected: u64,
 }
 
 impl<A: Aggregate> QueryState<A> {
@@ -92,11 +79,6 @@ impl<A: Aggregate> QueryState<A> {
             AggFunc::Avg(t, _) => OutputKind::Avg(q.pattern.positions_of(*t).len() as u32),
         };
         let table = TypeTable::build(catalog, q)?;
-        let scan = ScanKernel::new(
-            positions.iter().map(|p| !p.is_empty()).collect(),
-            &table.group_attrs,
-            &table.predicates,
-        );
         Ok(QueryState {
             id: q.id,
             window: q.window,
@@ -109,41 +91,33 @@ impl<A: Aggregate> QueryState<A> {
             events_matched: 0,
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
             emit_scratch: Vec::new(),
-            scan,
-            rows_scanned: 0,
-            rows_selected: 0,
         })
     }
+}
 
-    /// The shared per-row path of the per-event shim, the columnar
-    /// dispatch, and the sharded routed dispatch. With `pre_routed`, the
-    /// caller (the columnar pre-pass or the batch router) has already
-    /// established routing + predicates + groupability, so those checks
-    /// are skipped.
+impl<A: Aggregate> ScopeKernel for QueryState<A> {
+    /// The per-row path of the sequential scan, the sharded routed
+    /// dispatch, and the event-time release: every row already passed
+    /// routing + predicates + groupability.
     fn process_row(
         &mut self,
         ty: EventTypeId,
         time: Timestamp,
         attrs: &[Value],
-        pre_routed: bool,
         results: &mut ExecutorResults,
     ) {
         let Some(positions) = self.positions.get(ty.index()).filter(|p| !p.is_empty()) else {
-            debug_assert!(!pre_routed, "router selected an unrouted event type");
+            debug_assert!(false, "router selected an unrouted event type");
             return;
         };
-        if !pre_routed && !self.table.passes(ty, attrs) {
-            return;
-        }
         // group key — written into the reused scratch key; the clone into
         // the map happens exactly once per distinct group
         if !self
             .table
             .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch)
         {
-            debug_assert!(!pre_routed, "router selected an ungroupable event");
+            debug_assert!(false, "router selected an ungroupable event");
             return;
         }
         self.events_matched += 1;
@@ -208,34 +182,6 @@ impl<A: Aggregate> QueryState<A> {
         }
     }
 
-    /// Columnar pipeline over one batch: stateless scan → stateful
-    /// dispatch of the selected row indices.
-    fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        sel.clear();
-        self.scan.select_into(batch, 0, batch.len(), &mut sel);
-        self.rows_scanned += batch.len() as u64;
-        self.rows_selected += sel.len() as u64;
-        sharon_metrics::record_rows_scanned(batch.len() as u64);
-        sharon_metrics::record_rows_selected(sel.len() as u64);
-        self.process_rows(batch, &sel, results);
-        self.sel_scratch = sel;
-    }
-
-    /// Stateful dispatch of pre-selected rows.
-    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
-        for &row in rows {
-            let row = row as usize;
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                results,
-            );
-        }
-    }
-
     fn finish(&mut self, results: &mut ExecutorResults) {
         for (key, group) in self.groups.iter_mut() {
             let slide = self.window.slide.millis();
@@ -250,7 +196,19 @@ impl<A: Aggregate> QueryState<A> {
         }
     }
 
-    fn buffered_events(&self) -> usize {
+    fn reserve_results(&self, results: &mut ExecutorResults, additional: usize) {
+        results.reserve(self.id, additional);
+    }
+
+    fn sequences_constructed(&self) -> u64 {
+        self.sequences_constructed
+    }
+
+    fn events_matched(&self) -> u64 {
+        self.events_matched
+    }
+
+    fn state_size(&self) -> usize {
         self.groups
             .values()
             .map(|g| g.buffers.buffered_events())
@@ -258,20 +216,25 @@ impl<A: Aggregate> QueryState<A> {
     }
 }
 
-enum Kernel {
-    Count(Vec<QueryState<CountCell>>),
-    Stats(Vec<QueryState<StatsCell>>),
+/// One query's routing scope: its compiled scan and its stateful side on
+/// the aggregate kernel the query needs.
+fn query_scope(
+    catalog: &Catalog,
+    q: &Query,
+) -> Result<(ScanKernel, Box<dyn ScopeKernel>), CompileError> {
+    let scan = ScopeFilter::build(catalog, &[q])?.compile_scan();
+    let kernel: Box<dyn ScopeKernel> = if q.agg.is_count_like() {
+        Box::new(QueryState::<CountCell>::new(catalog, q)?)
+    } else {
+        Box::new(QueryState::<StatsCell>::new(catalog, q)?)
+    };
+    Ok((scan, kernel))
 }
 
 /// The non-shared two-step executor: independent sequence construction and
 /// aggregation per query.
 pub struct FlinkLike {
-    kernel: Kernel,
-    results: ExecutorResults,
-    last_time: Timestamp,
-    /// Event-time reorder gate (see [`Reorder`]); `None` keeps the
-    /// historical arrival-order contract.
-    reorder: Option<Reorder>,
+    core: TwoStep,
 }
 
 impl FlinkLike {
@@ -280,28 +243,13 @@ impl FlinkLike {
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
-        let kernel = if workload.queries().iter().all(|q| q.agg.is_count_like()) {
-            Kernel::Count(
-                workload
-                    .queries()
-                    .iter()
-                    .map(|q| QueryState::new(catalog, q))
-                    .collect::<Result<_, _>>()?,
-            )
-        } else {
-            Kernel::Stats(
-                workload
-                    .queries()
-                    .iter()
-                    .map(|q| QueryState::new(catalog, q))
-                    .collect::<Result<_, _>>()?,
-            )
-        };
+        let scopes = workload
+            .queries()
+            .iter()
+            .map(|q| query_scope(catalog, q))
+            .collect::<Result<_, _>>()?;
         Ok(FlinkLike {
-            kernel,
-            results: ExecutorResults::new(),
-            last_time: Timestamp::ZERO,
-            reorder: None,
+            core: TwoStep::new(scopes),
         })
     }
 
@@ -310,62 +258,12 @@ impl FlinkLike {
     /// release in event-time order; rows behind the watermark are dropped
     /// and counted. Must be called before any ingestion.
     pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.reorder = Some(Reorder::new(lateness_ms));
+        self.core.set_lateness(lateness_ms);
     }
 
     /// Late rows dropped by the event-time gate (0 when no gate).
     pub fn late_rows_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
-    }
-
-    /// Dispatch one in-order row to every query (the release half of the
-    /// gated paths; `pre_routed` as recorded at admission).
-    fn dispatch_row(
-        &mut self,
-        ty: EventTypeId,
-        time: Timestamp,
-        attrs: &[Value],
-        pre_routed: bool,
-    ) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    q.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    q.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
-        }
-    }
-
-    /// Advance the gate's watermark and dispatch every released row.
-    fn advance_watermark(&mut self, frontier: Timestamp) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.advance(frontier);
-        self.release_ready();
-    }
-
-    fn release_ready(&mut self) {
-        while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.dispatch_row(row.ty, row.time, &row.attrs, row.pre_routed);
-            if let Some(gate) = &mut self.reorder {
-                gate.recycle(row);
-            }
-        }
-    }
-
-    /// End-of-stream: open the gate and release everything still buffered.
-    fn flush_pending(&mut self) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.open();
-        self.release_ready();
+        self.core.late_rows_dropped()
     }
 
     /// Run the baseline on the sharded parallel runtime: the batch router
@@ -385,11 +283,12 @@ impl FlinkLike {
     ///
     /// `options` sets the batch size, pipeline depth, routing-plane size
     /// (the deduplicated scopes are cost-partitioned across
-    /// `options.routers` router threads, see [`split_router_plane`]) and
-    /// optional event-time lateness: when set, each shard worker gates
-    /// its pre-routed rows behind the router's merged cross-shard
-    /// frontier, so bounded disorder up to the lateness is absorbed
-    /// exactly and later rows are dropped and counted.
+    /// `options.routers` router threads, see
+    /// [`sharon_executor::split_router_plane`]) and optional event-time
+    /// lateness: when set, each shard worker gates its pre-routed rows
+    /// behind the router's merged cross-shard frontier, so bounded
+    /// disorder up to the lateness is absorbed exactly and later rows are
+    /// dropped and counted.
     ///
     /// Panics when `options` asks for checkpoints, a spill tier, or fault
     /// injection: the baseline cannot serialize its state, and silently
@@ -400,7 +299,6 @@ impl FlinkLike {
         n_shards: usize,
         options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
-        assert_durability_free(options, "Flink");
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
@@ -412,304 +310,82 @@ impl FlinkLike {
             .iter()
             .map(|q| ScopeFilter::build(catalog, &[q]))
             .collect::<Result<Vec<_>, _>>()?;
-        let (scopes, subscribers) = dedup_scopes(scopes);
-        let plane = split_router_plane(scopes, n_shards, options.split, options.routers);
-        let shards = (0..n_shards)
-            .map(|_| {
-                FlinkLike::new(catalog, workload).map(|f| {
-                    Box::new(ScopeFanShard {
-                        inner: f,
-                        subscribers: subscribers.clone(),
-                        gate: options.lateness.map(Reorder::new),
-                    }) as Box<dyn ShardProcessor>
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedExecutor::from_parts(plane, shards, options.clone()))
+        sharded("Flink", scopes, n_shards, options, || {
+            Ok(FlinkLike::new(catalog, workload)?.core)
+        })
     }
 
-    /// Stateful dispatch of one deduplicated routing scope's pre-routed
-    /// rows to subscribing query `qi` (the sharded fan-out path).
-    fn process_scope_rows(&mut self, qi: usize, batch: &EventBatch, rows: &[u32]) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
-            Kernel::Stats(qs) => qs[qi].process_rows(batch, rows, &mut self.results),
-        }
-    }
-
-    /// Row form of [`FlinkLike::process_scope_rows`] — the release path of
-    /// the sharded event-time gate, which re-dispatches buffered rows one
-    /// at a time.
-    fn process_scope_row(&mut self, qi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        match &mut self.kernel {
-            Kernel::Count(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
-            Kernel::Stats(qs) => qs[qi].process_row(ty, time, attrs, true, &mut self.results),
-        }
-    }
-
-    /// Process one event through every query. With an event-time gate the
-    /// row is admitted (or dropped as late) and the watermark advances;
-    /// without one the historical arrival-order contract applies.
-    pub fn process(&mut self, e: &Event) {
-        if let Some(gate) = &mut self.reorder {
-            gate.admit(e.ty, e.time, &e.attrs, 0, false, false);
-            self.advance_watermark(e.time);
-            return;
-        }
-        debug_assert!(e.time >= self.last_time, "events must be time-ordered");
-        self.last_time = e.time;
-        self.dispatch_row(e.ty, e.time, &e.attrs, false);
-    }
-
-    /// Process a time-ordered columnar batch: each query runs its
-    /// stateless scan + stateful dispatch over the whole batch while its
-    /// state is hot. No row-form event is materialized. With an event-time
-    /// gate, rows are admitted raw and the watermark advances to the
-    /// batch's maximum timestamp afterwards — released rows run the same
-    /// per-row scan the per-event path uses.
+    /// Process a time-ordered columnar batch: each query runs its scan
+    /// and folds the selected rows over the whole batch while its state is
+    /// hot. With an event-time gate, the selected rows are admitted and
+    /// the watermark advances to the batch's maximum timestamp afterwards.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
-        if let Some(gate) = &mut self.reorder {
-            for row in 0..batch.len() {
-                gate.admit(
-                    batch.ty(row),
-                    batch.time(row),
-                    batch.attrs(row),
-                    0,
-                    false,
-                    false,
-                );
-            }
-            if let Some(max) = batch.max_time() {
-                self.advance_watermark(max);
-            }
-            return;
-        }
-        if let Some(&t) = batch.times().last() {
-            debug_assert!(t >= self.last_time, "batches must be time-ordered");
-            self.last_time = t;
-        }
-        match &mut self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    q.process_columnar(batch, &mut self.results);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    q.process_columnar(batch, &mut self.results);
-                }
-            }
-        }
-    }
-
-    /// Drain a stream.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        while let Some(e) = stream.next_event() {
-            self.process(&e);
-        }
-        self
+        self.core.process_columnar(batch);
     }
 
     /// Pre-size the result store for about `additional` further results
     /// per query (capacity planning for allocation-free steady-state
     /// emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        match &self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-        }
+        self.core.reserve_results(additional);
     }
 
     /// Flush and return all results.
-    pub fn finish(mut self) -> ExecutorResults {
-        self.flush_pending();
-        match &mut self.kernel {
-            Kernel::Count(qs) => {
-                for q in qs {
-                    q.finish(&mut self.results);
-                }
-            }
-            Kernel::Stats(qs) => {
-                for q in qs {
-                    q.finish(&mut self.results);
-                }
-            }
-        }
-        self.results
+    pub fn finish(self) -> ExecutorResults {
+        self.core.finish().0
     }
 
     /// Total sequences explicitly constructed so far — the two-step cost
     /// the online approaches avoid.
     pub fn sequences_constructed(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(qs) => qs.iter().map(|q| q.sequences_constructed).sum(),
-            Kernel::Stats(qs) => qs.iter().map(|q| q.sequences_constructed).sum(),
-        }
+        self.core.sequences_constructed()
     }
 
-    /// Rows that survived the stateless scans, summed over queries —
-    /// comparable to the online engines' per-partition matched counts.
+    /// Rows that survived the scans, summed over queries — comparable to
+    /// the online engines' per-partition matched counts.
     pub fn events_matched(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(qs) => qs.iter().map(|q| q.events_matched).sum(),
-            Kernel::Stats(qs) => qs.iter().map(|q| q.events_matched).sum(),
-        }
+        self.core.events_matched()
     }
 
-    /// Per-query `(rows_scanned, rows_selected)` of the columnar
-    /// pre-pass, in query order.
+    /// Per-query `(rows_scanned, rows_selected)` of the scans, in query
+    /// order.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        match &self.kernel {
-            Kernel::Count(qs) => qs
-                .iter()
-                .map(|q| (q.rows_scanned, q.rows_selected))
-                .collect(),
-            Kernel::Stats(qs) => qs
-                .iter()
-                .map(|q| (q.rows_scanned, q.rows_selected))
-                .collect(),
-        }
+        self.core.scan_stats()
     }
 
     /// Raw events currently buffered across all queries (memory proxy).
     pub fn buffered_events(&self) -> usize {
-        match &self.kernel {
-            Kernel::Count(qs) => qs.iter().map(QueryState::buffered_events).sum(),
-            Kernel::Stats(qs) => qs.iter().map(QueryState::buffered_events).sum(),
-        }
+        self.core.state_size()
     }
 }
 
 impl BatchProcessor for FlinkLike {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
-        FlinkLike::process_columnar(self, batch);
+        self.core.process_columnar(batch);
     }
 
     fn set_lateness(&mut self, lateness_ms: u64) {
-        FlinkLike::set_lateness(self, lateness_ms);
+        self.core.set_lateness(lateness_ms);
     }
 
     fn late_rows_dropped(&self) -> u64 {
-        FlinkLike::late_rows_dropped(self)
+        self.core.late_rows_dropped()
     }
 
     fn events_matched(&self) -> u64 {
-        FlinkLike::events_matched(self)
+        self.core.events_matched()
     }
 
     fn scan_stats(&self) -> Vec<(u64, u64)> {
-        FlinkLike::scan_stats(self)
+        self.core.scan_stats()
     }
 
     fn state_size(&self) -> usize {
-        self.buffered_events()
+        self.core.state_size()
     }
 
-    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64) {
-        // drain the gate first so the matched count includes released rows
-        self.flush_pending();
-        let matched = FlinkLike::events_matched(&self);
-        ((*self).finish(), matched)
-    }
-}
-
-/// The shard worker of [`FlinkLike::sharded`]: `rows.per_part` is
-/// parallel to the router's *distinct* (deduplicated) routing scopes, and
-/// each scope's row selection is dispatched to every subscribing query —
-/// the worker-side half of routing each scope once per batch. The
-/// baseline never hosts split groups, so replica lists and split notices
-/// are always empty here.
-struct ScopeFanShard {
-    inner: FlinkLike,
-    /// Per distinct scope: the query indexes subscribing to it.
-    subscribers: Vec<Vec<usize>>,
-    /// Event-time gate over the pre-routed rows: admission records the
-    /// scope in [`sharon_executor::PendingRow::scope`], release fans the
-    /// row back out to the scope's subscribers. `None` keeps the
-    /// arrival-order contract.
-    gate: Option<Reorder>,
-}
-
-impl ScopeFanShard {
-    /// Dispatch every gate-released row to its scope's subscribers.
-    fn release_ready(&mut self) {
-        while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
-            for &qi in &self.subscribers[row.scope as usize] {
-                self.inner
-                    .process_scope_row(qi, row.ty, row.time, &row.attrs);
-            }
-            if let Some(gate) = &mut self.gate {
-                gate.recycle(row);
-            }
-        }
-    }
-}
-
-impl ShardProcessor for ScopeFanShard {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        debug_assert!(
-            rows.splits.is_empty() && rows.state_rows.iter().all(Vec::is_empty),
-            "baseline scopes never split groups"
-        );
-        if let Some(gate) = &mut self.gate {
-            // event-time mode: buffer each scope's rows behind the
-            // router's merged frontier and release in event-time order
-            for (scope, list) in rows.per_part.iter().enumerate() {
-                for &row in list {
-                    let row = row as usize;
-                    gate.admit(
-                        batch.ty(row),
-                        batch.time(row),
-                        batch.attrs(row),
-                        scope as u32,
-                        true,
-                        false,
-                    );
-                }
-            }
-            gate.advance(rows.frontier);
-            self.release_ready();
-            return;
-        }
-        for (scope, list) in rows.per_part.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            for &qi in &self.subscribers[scope] {
-                self.inner.process_scope_rows(qi, batch, list);
-            }
-        }
-    }
-
-    fn events_matched(&self) -> u64 {
-        FlinkLike::events_matched(&self.inner)
-    }
-
-    fn finish(mut self: Box<Self>) -> ShardReport {
-        if let Some(gate) = &mut self.gate {
-            gate.open();
-        }
-        self.release_ready();
-        let state_size = self.inner.buffered_events();
-        let events_matched = FlinkLike::events_matched(&self.inner);
-        ShardReport {
-            results: self.inner.finish(),
-            events_matched,
-            state_size,
-            ..Default::default()
-        }
+    fn finish(self: Box<Self>) -> (ExecutorResults, u64) {
+        self.core.finish()
     }
 }
 
@@ -718,6 +394,7 @@ mod tests {
     use super::*;
     use sharon_executor::Executor;
     use sharon_query::parse_workload;
+    use sharon_types::Event;
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))
@@ -733,14 +410,12 @@ mod tests {
         .unwrap();
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
-        let events = vec![ev(a, 1), ev(b, 2), ev(a, 3), ev(b, 4)];
+        let batch = EventBatch::from_events(&[ev(a, 1), ev(b, 2), ev(a, 3), ev(b, 4)]);
 
         let mut fl = FlinkLike::new(&c, &w).unwrap();
         let mut online = Executor::non_shared(&c, &w).unwrap();
-        for e in &events {
-            fl.process(e);
-            online.process(e);
-        }
+        fl.process_columnar(&batch);
+        online.process_columnar(&batch);
         assert_eq!(fl.sequences_constructed(), 3, "constructs all 3 sequences");
         let fr = fl.finish();
         let or = online.finish();
@@ -762,7 +437,7 @@ mod tests {
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
         let cc = c.lookup("C").unwrap();
-        let events = vec![
+        let batch = EventBatch::from_events(&[
             ev(a, 1),
             ev(b, 2),
             ev(cc, 3),
@@ -771,13 +446,11 @@ mod tests {
             ev(cc, 6),
             ev(b, 8),
             ev(cc, 11),
-        ];
+        ]);
         let mut fl = FlinkLike::new(&c, &w).unwrap();
         let mut online = Executor::non_shared(&c, &w).unwrap();
-        for e in &events {
-            fl.process(e);
-            online.process(e);
-        }
+        fl.process_columnar(&batch);
+        online.process_columnar(&batch);
         let fr = fl.finish();
         let or = online.finish();
         assert!(
@@ -799,14 +472,13 @@ mod tests {
         .unwrap();
         let a = c.lookup("A").unwrap();
         let mut fl = FlinkLike::new(&c, &w).unwrap();
-        for t in 0..50 {
-            fl.process(&ev(a, t));
-        }
+        let events: Vec<Event> = (0..50).map(|t| ev(a, t)).collect();
+        fl.process_columnar(&EventBatch::from_events(&events));
         assert_eq!(fl.buffered_events(), 50, "two-step retains raw events");
     }
 
     #[test]
-    fn columnar_path_matches_per_event() {
+    fn columnar_and_sharded_paths_match_aseq() {
         let mut c = Catalog::new();
         c.register_with_schema("A", sharon_types::Schema::new(["g"]));
         c.register_with_schema("B", sharon_types::Schema::new(["g"]));
@@ -827,14 +499,12 @@ mod tests {
             })
             .collect();
 
-        let mut per_event = FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            per_event.process(e);
-        }
-        let want = per_event.finish();
+        let batch = EventBatch::from_events(&events);
+        let mut aseq = Executor::non_shared(&c, &w).unwrap();
+        aseq.process_columnar(&batch);
+        let want = aseq.finish();
         assert!(!want.is_empty());
 
-        let batch = EventBatch::from_events(&events);
         let mut columnar = FlinkLike::new(&c, &w).unwrap();
         columnar.process_columnar(&batch);
         let got = columnar.finish();
@@ -877,14 +547,12 @@ mod tests {
             })
             .collect();
 
+        let batch = EventBatch::from_events(&events);
         let mut sequential = FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            sequential.process(e);
-        }
+        sequential.process_columnar(&batch);
         let want = sequential.finish();
         assert!(!want.is_empty());
 
-        let batch = EventBatch::from_events(&events);
         let options = ShardedOptions {
             batch_size: 128,
             ..ShardedOptions::default()

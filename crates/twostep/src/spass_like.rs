@@ -14,26 +14,23 @@
 //!
 //! Like every strategy in the system, the baseline is a
 //! [`BatchProcessor`]: [`SpassLike::process_columnar`] runs, per
-//! sharing-signature partition, a stateless scan of the batch columns that
-//! selects row indices, then a stateful dispatch over the shared value
-//! buffer — no row-form [`Event`] is materialized. [`SpassLike::sharded`]
-//! runs the baseline on the route-once parallel runtime: one instance per
-//! worker behind a scope-fanning [`ShardProcessor`] wrapper, with
-//! identical routing scopes deduplicated.
+//! sharing-signature partition, a compiled scan of the batch columns that
+//! selects row indices, then folds only the selected rows into that
+//! partition's `ScopeKernel` over the shared value buffer — no row-form
+//! event is materialized. [`SpassLike::sharded`] runs the baseline on the
+//! route-once parallel runtime, with identical routing scopes
+//! deduplicated.
 
-use crate::common::{assert_durability_free, dedup_scopes, ScopeFilter, TypeTable};
+use crate::common::{sharded, ScopeFilter, ScopeKernel, TwoStep, TypeTable};
 use crate::construct::SeqBuffers;
 use sharon_executor::agg::{Aggregate, CountCell, OutputKind, StatsCell};
 use sharon_executor::compile::CompileError;
 use sharon_executor::winvec::WinVec;
 use sharon_executor::{
-    split_router_plane, BatchProcessor, ExecutorResults, Reorder, RoutedRows, ScanKernel,
-    ShardProcessor, ShardReport, ShardedExecutor, ShardedOptions,
+    BatchProcessor, ExecutorResults, ScanKernel, ShardedExecutor, ShardedOptions,
 };
 use sharon_query::{AggFunc, Query, QueryId, SegmentKind, SharingPlan, Workload};
-use sharon_types::{
-    Catalog, Event, EventBatch, EventStream, EventTypeId, GroupKey, Timestamp, Value, WindowSpec,
-};
+use sharon_types::{Catalog, EventBatch, EventTypeId, GroupKey, Timestamp, Value, WindowSpec};
 use std::collections::{HashMap, VecDeque};
 
 /// A materialized segment match (a constructed sub-sequence).
@@ -70,33 +67,23 @@ struct QueryDef {
 struct Partition<A> {
     window: WindowSpec,
     table: TypeTable,
-    /// Per type id (dense): does any segment route the type?
-    routed: Vec<bool>,
     segs: Vec<SegDef>,
     queries: Vec<QueryDef>,
     /// queries whose *final* stage is each segment
     finalists: Vec<Vec<usize>>,
     groups: HashMap<GroupKey, GroupState<A>>,
     sequences_constructed: u64,
-    /// Rows that survived this partition's stateless scan (routing,
-    /// predicates, grouping) — the same notion of "matched" the online
-    /// engines report per partition.
+    /// Rows that survived this partition's scan (routing, predicates,
+    /// grouping) — the same notion of "matched" the online engines report
+    /// per partition.
     events_matched: u64,
     /// Reused per-row key storage (clone only on first sight of a group).
     key_scratch: GroupKey,
     vals_scratch: Vec<Value>,
-    /// Reused row-selection buffer of the columnar pre-pass.
-    sel_scratch: Vec<u32>,
     /// Reused emission buffer for closing windows.
     emit_scratch: Vec<(u64, A)>,
     /// Reused buffer for the segment matches a single END row constructs.
     match_scratch: Vec<Match<A>>,
-    /// Compiled scan kernel of the columnar pre-pass.
-    scan: ScanKernel,
-    /// Rows examined by this partition's columnar pre-pass.
-    rows_scanned: u64,
-    /// Rows that survived routing + predicates + groupability.
-    rows_selected: u64,
 }
 
 fn output_kind(q: &Query) -> OutputKind {
@@ -186,12 +173,9 @@ impl<A: Aggregate> Partition<A> {
         for (qi, q) in qdefs.iter().enumerate() {
             finalists[*q.stages.last().expect("patterns are non-empty")].push(qi);
         }
-        let routed = crate::common::routed_bitmap(queries);
-        let scan = ScanKernel::new(routed.clone(), &table.group_attrs, &table.predicates);
         Ok(Partition {
             window,
             table,
-            routed,
             segs,
             queries: qdefs,
             finalists,
@@ -200,39 +184,28 @@ impl<A: Aggregate> Partition<A> {
             events_matched: 0,
             key_scratch: GroupKey::Global,
             vals_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
             emit_scratch: Vec::new(),
             match_scratch: Vec::new(),
-            scan,
-            rows_scanned: 0,
-            rows_selected: 0,
         })
     }
+}
 
-    /// The shared per-row path of the per-event shim, the columnar
-    /// dispatch, and the sharded routed dispatch (`pre_routed` rows have
-    /// already passed routing + predicates + groupability).
+impl<A: Aggregate> ScopeKernel for Partition<A> {
+    /// The per-row path of the sequential scan, the sharded routed
+    /// dispatch, and the event-time release: every row already passed
+    /// routing + predicates + groupability.
     fn process_row(
         &mut self,
         ty: EventTypeId,
         time: Timestamp,
         attrs: &[Value],
-        pre_routed: bool,
         results: &mut ExecutorResults,
     ) {
-        if !pre_routed {
-            if !self.routed.get(ty.index()).copied().unwrap_or(false) {
-                return;
-            }
-            if !self.table.passes(ty, attrs) {
-                return;
-            }
-        }
         if !self
             .table
             .read_group_key(ty, attrs, &mut self.vals_scratch, &mut self.key_scratch)
         {
-            debug_assert!(!pre_routed, "router selected an ungroupable event");
+            debug_assert!(false, "router selected an ungroupable event");
             return;
         }
         self.events_matched += 1;
@@ -330,34 +303,6 @@ impl<A: Aggregate> Partition<A> {
         self.match_scratch = new_matches;
     }
 
-    /// Columnar pipeline over one batch: stateless scan → stateful
-    /// dispatch of the selected row indices.
-    fn process_columnar(&mut self, batch: &EventBatch, results: &mut ExecutorResults) {
-        let mut sel = std::mem::take(&mut self.sel_scratch);
-        sel.clear();
-        self.scan.select_into(batch, 0, batch.len(), &mut sel);
-        self.rows_scanned += batch.len() as u64;
-        self.rows_selected += sel.len() as u64;
-        sharon_metrics::record_rows_scanned(batch.len() as u64);
-        sharon_metrics::record_rows_selected(sel.len() as u64);
-        self.process_rows(batch, &sel, results);
-        self.sel_scratch = sel;
-    }
-
-    /// Stateful dispatch of pre-selected rows.
-    fn process_rows(&mut self, batch: &EventBatch, rows: &[u32], results: &mut ExecutorResults) {
-        for &row in rows {
-            let row = row as usize;
-            self.process_row(
-                batch.ty(row),
-                batch.time(row),
-                batch.attrs(row),
-                true,
-                results,
-            );
-        }
-    }
-
     fn finish(&mut self, results: &mut ExecutorResults) {
         let slide = self.window.slide.millis();
         for (key, group) in self.groups.iter_mut() {
@@ -374,7 +319,22 @@ impl<A: Aggregate> Partition<A> {
         }
     }
 
-    fn materialized_matches(&self) -> usize {
+    fn reserve_results(&self, results: &mut ExecutorResults, additional: usize) {
+        for q in &self.queries {
+            results.reserve(q.id, additional);
+        }
+    }
+
+    fn sequences_constructed(&self) -> u64 {
+        self.sequences_constructed
+    }
+
+    fn events_matched(&self) -> u64 {
+        self.events_matched
+    }
+
+    /// Materialized matches plus buffered events.
+    fn state_size(&self) -> usize {
         self.groups
             .values()
             .map(|g| {
@@ -438,20 +398,26 @@ fn join_backward<A: Aggregate>(
     count
 }
 
-enum Kernel {
-    Count(Vec<Partition<CountCell>>),
-    Stats(Vec<Partition<StatsCell>>),
+/// One signature partition's routing scope: its compiled scan and its
+/// stateful side on the aggregate kernel its queries need.
+fn partition_scope(
+    catalog: &Catalog,
+    queries: &[&Query],
+    plan: &SharingPlan,
+) -> Result<(ScanKernel, Box<dyn ScopeKernel>), CompileError> {
+    let scan = ScopeFilter::build(catalog, queries)?.compile_scan();
+    let kernel: Box<dyn ScopeKernel> = if queries.iter().all(|q| q.agg.is_count_like()) {
+        Box::new(Partition::<CountCell>::new(catalog, queries, plan)?)
+    } else {
+        Box::new(Partition::<StatsCell>::new(catalog, queries, plan)?)
+    };
+    Ok((scan, kernel))
 }
 
 /// The shared two-step executor: shared sequence construction per plan
 /// candidate, per-query join + aggregation afterwards.
 pub struct SpassLike {
-    kernel: Kernel,
-    results: ExecutorResults,
-    last_time: Timestamp,
-    /// Event-time reorder gate (see [`Reorder`]); `None` keeps the
-    /// historical arrival-order contract.
-    reorder: Option<Reorder>,
+    core: TwoStep,
 }
 
 impl SpassLike {
@@ -479,27 +445,12 @@ impl SpassLike {
                 });
             }
         }
-        let count_only = workload.queries().iter().all(|q| q.agg.is_count_like());
-        let kernel = if count_only {
-            Kernel::Count(
-                parts
-                    .iter()
-                    .map(|qs| Partition::new(catalog, qs, plan))
-                    .collect::<Result<_, _>>()?,
-            )
-        } else {
-            Kernel::Stats(
-                parts
-                    .iter()
-                    .map(|qs| Partition::new(catalog, qs, plan))
-                    .collect::<Result<_, _>>()?,
-            )
-        };
+        let scopes = parts
+            .iter()
+            .map(|qs| partition_scope(catalog, qs, plan))
+            .collect::<Result<_, _>>()?;
         Ok(SpassLike {
-            kernel,
-            results: ExecutorResults::new(),
-            last_time: Timestamp::ZERO,
-            reorder: None,
+            core: TwoStep::new(scopes),
         })
     }
 
@@ -508,62 +459,12 @@ impl SpassLike {
     /// release in event-time order; rows behind the watermark are dropped
     /// and counted. Must be called before any ingestion.
     pub fn set_lateness(&mut self, lateness_ms: u64) {
-        self.reorder = Some(Reorder::new(lateness_ms));
+        self.core.set_lateness(lateness_ms);
     }
 
     /// Late rows dropped by the event-time gate (0 when no gate).
     pub fn late_rows_dropped(&self) -> u64 {
-        self.reorder.as_ref().map_or(0, Reorder::late_rows_dropped)
-    }
-
-    /// Dispatch one in-order row to every signature partition (the
-    /// release half of the gated paths).
-    fn dispatch_row(
-        &mut self,
-        ty: EventTypeId,
-        time: Timestamp,
-        attrs: &[Value],
-        pre_routed: bool,
-    ) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => {
-                for p in ps {
-                    p.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for p in ps {
-                    p.process_row(ty, time, attrs, pre_routed, &mut self.results);
-                }
-            }
-        }
-    }
-
-    /// Advance the gate's watermark and dispatch every released row.
-    fn advance_watermark(&mut self, frontier: Timestamp) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.advance(frontier);
-        self.release_ready();
-    }
-
-    fn release_ready(&mut self) {
-        while let Some(row) = self.reorder.as_mut().and_then(Reorder::pop_ready) {
-            self.dispatch_row(row.ty, row.time, &row.attrs, row.pre_routed);
-            if let Some(gate) = &mut self.reorder {
-                gate.recycle(row);
-            }
-        }
-    }
-
-    /// End-of-stream: open the gate and release everything still buffered.
-    fn flush_pending(&mut self) {
-        let Some(gate) = &mut self.reorder else {
-            return;
-        };
-        gate.open();
-        self.release_ready();
+        self.core.late_rows_dropped()
     }
 
     /// Run the baseline on the sharded parallel runtime: the batch router
@@ -586,316 +487,91 @@ impl SpassLike {
         n_shards: usize,
         options: &ShardedOptions,
     ) -> Result<ShardedExecutor, CompileError> {
-        assert_durability_free(options, "SPASS");
         if workload.is_empty() {
             return Err(CompileError::EmptyWorkload);
         }
         // one routing scope per signature partition, in the same order the
-        // sequential kernel builds them — then deduplicated, with the
-        // worker side fanning each distinct scope's selection out to all
-        // subscribing partitions
+        // sequential baseline builds them
         let scopes = signature_partitions(workload)
             .iter()
             .map(|qs| ScopeFilter::build(catalog, qs))
             .collect::<Result<Vec<_>, _>>()?;
-        let (scopes, subscribers) = dedup_scopes(scopes);
-        let plane = split_router_plane(scopes, n_shards, options.split, options.routers);
-        let shards = (0..n_shards)
-            .map(|_| {
-                SpassLike::new(catalog, workload, plan).map(|s| {
-                    Box::new(ScopeFanShard {
-                        inner: s,
-                        subscribers: subscribers.clone(),
-                        gate: options.lateness.map(Reorder::new),
-                    }) as Box<dyn ShardProcessor>
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedExecutor::from_parts(plane, shards, options.clone()))
-    }
-
-    /// Stateful dispatch of one deduplicated routing scope's pre-routed
-    /// rows to subscribing signature partition `pi` (the sharded fan-out
-    /// path).
-    fn process_scope_rows(&mut self, pi: usize, batch: &EventBatch, rows: &[u32]) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
-            Kernel::Stats(ps) => ps[pi].process_rows(batch, rows, &mut self.results),
-        }
-    }
-
-    /// Row form of [`SpassLike::process_scope_rows`] — the release path of
-    /// the sharded event-time gate, which re-dispatches buffered rows one
-    /// at a time.
-    fn process_scope_row(&mut self, pi: usize, ty: EventTypeId, time: Timestamp, attrs: &[Value]) {
-        match &mut self.kernel {
-            Kernel::Count(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
-            Kernel::Stats(ps) => ps[pi].process_row(ty, time, attrs, true, &mut self.results),
-        }
-    }
-
-    /// Process one event. With an event-time gate the row is admitted (or
-    /// dropped as late) and the watermark advances; without one the
-    /// historical arrival-order contract applies.
-    pub fn process(&mut self, e: &Event) {
-        if let Some(gate) = &mut self.reorder {
-            gate.admit(e.ty, e.time, &e.attrs, 0, false, false);
-            self.advance_watermark(e.time);
-            return;
-        }
-        debug_assert!(e.time >= self.last_time, "events must be time-ordered");
-        self.last_time = e.time;
-        self.dispatch_row(e.ty, e.time, &e.attrs, false);
+        sharded("SPASS", scopes, n_shards, options, || {
+            Ok(SpassLike::new(catalog, workload, plan)?.core)
+        })
     }
 
     /// Process a time-ordered columnar batch: each signature partition
-    /// runs its stateless scan + stateful dispatch over the whole batch
-    /// while its state is hot. No row-form event is materialized. With an
-    /// event-time gate, rows are admitted raw and the watermark advances
-    /// to the batch's maximum timestamp afterwards.
+    /// runs its scan and folds the selected rows over the whole batch
+    /// while its state is hot. With an event-time gate, the selected rows
+    /// are admitted and the watermark advances to the batch's maximum
+    /// timestamp afterwards.
     pub fn process_columnar(&mut self, batch: &EventBatch) {
-        if let Some(gate) = &mut self.reorder {
-            for row in 0..batch.len() {
-                gate.admit(
-                    batch.ty(row),
-                    batch.time(row),
-                    batch.attrs(row),
-                    0,
-                    false,
-                    false,
-                );
-            }
-            if let Some(max) = batch.max_time() {
-                self.advance_watermark(max);
-            }
-            return;
-        }
-        if let Some(&t) = batch.times().last() {
-            debug_assert!(t >= self.last_time, "batches must be time-ordered");
-            self.last_time = t;
-        }
-        match &mut self.kernel {
-            Kernel::Count(ps) => {
-                for p in ps {
-                    p.process_columnar(batch, &mut self.results);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for p in ps {
-                    p.process_columnar(batch, &mut self.results);
-                }
-            }
-        }
-    }
-
-    /// Drain a stream.
-    pub fn run(&mut self, mut stream: impl EventStream) -> &mut Self {
-        while let Some(e) = stream.next_event() {
-            self.process(&e);
-        }
-        self
+        self.core.process_columnar(batch);
     }
 
     /// Pre-size the result store for about `additional` further results
     /// per query (capacity planning for allocation-free steady-state
     /// emission).
     pub fn reserve_results(&mut self, additional: usize) {
-        match &self.kernel {
-            Kernel::Count(ps) => {
-                for q in ps.iter().flat_map(|p| &p.queries) {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for q in ps.iter().flat_map(|p| &p.queries) {
-                    self.results.reserve(q.id, additional);
-                }
-            }
-        }
+        self.core.reserve_results(additional);
     }
 
     /// Flush and return all results.
-    pub fn finish(mut self) -> ExecutorResults {
-        self.flush_pending();
-        match &mut self.kernel {
-            Kernel::Count(ps) => {
-                for p in ps {
-                    p.finish(&mut self.results);
-                }
-            }
-            Kernel::Stats(ps) => {
-                for p in ps {
-                    p.finish(&mut self.results);
-                }
-            }
-        }
-        self.results
+    pub fn finish(self) -> ExecutorResults {
+        self.core.finish().0
     }
 
     /// Segment matches plus joined sequences constructed so far.
     pub fn sequences_constructed(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(ps) => ps.iter().map(|p| p.sequences_constructed).sum(),
-            Kernel::Stats(ps) => ps.iter().map(|p| p.sequences_constructed).sum(),
-        }
+        self.core.sequences_constructed()
     }
 
     /// Materialized matches + buffered events (memory proxy).
     pub fn materialized_matches(&self) -> usize {
-        match &self.kernel {
-            Kernel::Count(ps) => ps.iter().map(Partition::materialized_matches).sum(),
-            Kernel::Stats(ps) => ps.iter().map(Partition::materialized_matches).sum(),
-        }
+        self.core.state_size()
     }
 
-    /// Rows that survived the stateless scans, summed over signature
-    /// partitions — comparable to the online engines' matched counts.
+    /// Rows that survived the scans, summed over signature partitions —
+    /// comparable to the online engines' matched counts.
     pub fn events_matched(&self) -> u64 {
-        match &self.kernel {
-            Kernel::Count(ps) => ps.iter().map(|p| p.events_matched).sum(),
-            Kernel::Stats(ps) => ps.iter().map(|p| p.events_matched).sum(),
-        }
+        self.core.events_matched()
     }
 
-    /// Per-partition `(rows_scanned, rows_selected)` of the columnar
-    /// pre-pass, in partition order.
+    /// Per-partition `(rows_scanned, rows_selected)` of the scans, in
+    /// partition order.
     pub fn scan_stats(&self) -> Vec<(u64, u64)> {
-        match &self.kernel {
-            Kernel::Count(ps) => ps
-                .iter()
-                .map(|p| (p.rows_scanned, p.rows_selected))
-                .collect(),
-            Kernel::Stats(ps) => ps
-                .iter()
-                .map(|p| (p.rows_scanned, p.rows_selected))
-                .collect(),
-        }
+        self.core.scan_stats()
     }
 }
 
 impl BatchProcessor for SpassLike {
-    fn process_event(&mut self, e: &Event) {
-        self.process(e);
-    }
-
     fn process_columnar(&mut self, batch: &EventBatch) {
-        SpassLike::process_columnar(self, batch);
+        self.core.process_columnar(batch);
     }
 
     fn set_lateness(&mut self, lateness_ms: u64) {
-        SpassLike::set_lateness(self, lateness_ms);
+        self.core.set_lateness(lateness_ms);
     }
 
     fn late_rows_dropped(&self) -> u64 {
-        SpassLike::late_rows_dropped(self)
+        self.core.late_rows_dropped()
     }
 
     fn events_matched(&self) -> u64 {
-        SpassLike::events_matched(self)
+        self.core.events_matched()
     }
 
     fn scan_stats(&self) -> Vec<(u64, u64)> {
-        SpassLike::scan_stats(self)
+        self.core.scan_stats()
     }
 
     fn state_size(&self) -> usize {
-        self.materialized_matches()
+        self.core.state_size()
     }
 
-    fn finish(mut self: Box<Self>) -> (ExecutorResults, u64) {
-        // drain the gate first so the matched count includes released rows
-        self.flush_pending();
-        let matched = SpassLike::events_matched(&self);
-        ((*self).finish(), matched)
-    }
-}
-
-/// The shard worker of [`SpassLike::sharded`]: `rows.per_part` is
-/// parallel to the router's *distinct* (deduplicated) routing scopes, and
-/// each scope's row selection is dispatched to every subscribing
-/// signature partition — the worker-side half of routing each scope once
-/// per batch. The baseline never hosts split groups, so replica lists and
-/// split notices are always empty here.
-struct ScopeFanShard {
-    inner: SpassLike,
-    /// Per distinct scope: the signature-partition indexes subscribing to
-    /// it.
-    subscribers: Vec<Vec<usize>>,
-    /// Event-time gate over the pre-routed rows: admission records the
-    /// scope in [`sharon_executor::PendingRow::scope`], release fans the
-    /// row back out to the scope's subscribers. `None` keeps the
-    /// arrival-order contract.
-    gate: Option<Reorder>,
-}
-
-impl ScopeFanShard {
-    /// Dispatch every gate-released row to its scope's subscribers.
-    fn release_ready(&mut self) {
-        while let Some(row) = self.gate.as_mut().and_then(Reorder::pop_ready) {
-            for &pi in &self.subscribers[row.scope as usize] {
-                self.inner
-                    .process_scope_row(pi, row.ty, row.time, &row.attrs);
-            }
-            if let Some(gate) = &mut self.gate {
-                gate.recycle(row);
-            }
-        }
-    }
-}
-
-impl ShardProcessor for ScopeFanShard {
-    fn process_routed(&mut self, batch: &EventBatch, rows: &RoutedRows) {
-        debug_assert!(
-            rows.splits.is_empty() && rows.state_rows.iter().all(Vec::is_empty),
-            "baseline scopes never split groups"
-        );
-        if let Some(gate) = &mut self.gate {
-            // event-time mode: buffer each scope's rows behind the
-            // router's merged frontier and release in event-time order
-            for (scope, list) in rows.per_part.iter().enumerate() {
-                for &row in list {
-                    let row = row as usize;
-                    gate.admit(
-                        batch.ty(row),
-                        batch.time(row),
-                        batch.attrs(row),
-                        scope as u32,
-                        true,
-                        false,
-                    );
-                }
-            }
-            gate.advance(rows.frontier);
-            self.release_ready();
-            return;
-        }
-        for (scope, list) in rows.per_part.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            for &pi in &self.subscribers[scope] {
-                self.inner.process_scope_rows(pi, batch, list);
-            }
-        }
-    }
-
-    fn events_matched(&self) -> u64 {
-        SpassLike::events_matched(&self.inner)
-    }
-
-    fn finish(mut self: Box<Self>) -> ShardReport {
-        if let Some(gate) = &mut self.gate {
-            gate.open();
-        }
-        self.release_ready();
-        let state_size = self.inner.materialized_matches();
-        let events_matched = SpassLike::events_matched(&self.inner);
-        ShardReport {
-            results: self.inner.finish(),
-            events_matched,
-            state_size,
-            ..Default::default()
-        }
+    fn finish(self: Box<Self>) -> (ExecutorResults, u64) {
+        self.core.finish()
     }
 }
 
@@ -904,6 +580,7 @@ mod tests {
     use super::*;
     use sharon_executor::Executor;
     use sharon_query::{parse_workload, Pattern, PlanCandidate};
+    use sharon_types::Event;
 
     fn ev(ty: EventTypeId, t: u64) -> Event {
         Event::new(ty, Timestamp(t))
@@ -932,7 +609,7 @@ mod tests {
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
         let z = c.lookup("Z").unwrap();
-        let events = vec![
+        let batch = EventBatch::from_events(&[
             ev(x, 1),
             ev(y, 2),
             ev(a, 3),
@@ -944,13 +621,11 @@ mod tests {
             ev(a, 10),
             ev(b, 12),
             ev(z, 14),
-        ];
+        ]);
         let mut sp = SpassLike::new(&c, &w, &plan).unwrap();
         let mut online = Executor::new(&c, &w, &plan).unwrap();
-        for e in &events {
-            sp.process(e);
-            online.process(e);
-        }
+        sp.process_columnar(&batch);
+        online.process_columnar(&batch);
         assert!(sp.sequences_constructed() > 0);
         let sr = sp.finish();
         let or = online.finish();
@@ -973,9 +648,12 @@ mod tests {
         let mut sp = SpassLike::new(&c, &w, &plan).unwrap();
         // two (A,B) matches, no prefixes: shared segment constructs 2
         // matches once; no query completes (prefixes missing)
-        for e in [ev(a, 1), ev(b, 2), ev(a, 3), ev(b, 4)] {
-            sp.process(&e);
-        }
+        sp.process_columnar(&EventBatch::from_events(&[
+            ev(a, 1),
+            ev(b, 2),
+            ev(a, 3),
+            ev(b, 4),
+        ]));
         // (a1,b2), (a1,b4), (a3,b4) = 3 shared matches
         assert_eq!(sp.sequences_constructed(), 3);
         assert!(
@@ -997,34 +675,30 @@ mod tests {
         let a = c.lookup("A").unwrap();
         let b = c.lookup("B").unwrap();
         let cc = c.lookup("C").unwrap();
-        let events = vec![ev(a, 1), ev(b, 2), ev(cc, 3), ev(b, 4), ev(cc, 5)];
+        let batch = EventBatch::from_events(&[ev(a, 1), ev(b, 2), ev(cc, 3), ev(b, 4), ev(cc, 5)]);
         let mut sp = SpassLike::new(&c, &w, &SharingPlan::non_shared()).unwrap();
         let mut fl = crate::flink_like::FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            sp.process(e);
-            fl.process(e);
-        }
+        sp.process_columnar(&batch);
+        fl.process_columnar(&batch);
         let sr = sp.finish();
         let fr = fl.finish();
         assert!(sr.semantically_eq(&fr, 1e-9));
     }
 
     #[test]
-    fn columnar_and_sharded_paths_match_per_event() {
+    fn columnar_and_sharded_paths_match_aseq() {
         let (c, w, plan) = traffic_pair();
         let names = ["X", "Y", "A", "B", "Z"];
         let events: Vec<Event> = (0..500u64)
             .map(|i| ev(c.lookup(names[(i % 5) as usize]).unwrap(), i))
             .collect();
+        let batch = EventBatch::from_events(&events);
 
-        let mut per_event = SpassLike::new(&c, &w, &plan).unwrap();
-        for e in &events {
-            per_event.process(e);
-        }
-        let want = per_event.finish();
+        let mut aseq = Executor::non_shared(&c, &w).unwrap();
+        aseq.process_columnar(&batch);
+        let want = aseq.finish();
         assert!(!want.is_empty());
 
-        let batch = EventBatch::from_events(&events);
         let mut columnar = SpassLike::new(&c, &w, &plan).unwrap();
         columnar.process_columnar(&batch);
         let got = columnar.finish();

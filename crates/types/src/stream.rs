@@ -17,21 +17,6 @@ pub trait EventStream {
     /// Produce the next event, or `None` at end of stream.
     fn next_event(&mut self) -> Option<Event>;
 
-    /// Append up to `max` events to `out`, returning how many were
-    /// produced (0 at end of stream). Batch-oriented executors use this to
-    /// amortize per-event dispatch; `out` is a caller-owned reusable
-    /// buffer, so steady-state batching performs no allocation.
-    fn next_batch(&mut self, max: usize, out: &mut Vec<Event>) -> usize {
-        let before = out.len();
-        while out.len() - before < max {
-            match self.next_event() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out.len() - before
-    }
-
     /// Append up to `max` events to the columnar batch `out`, returning
     /// how many were produced (0 at end of stream). This is the preferred
     /// ingestion form — the executors' hot paths are columnar — and `out`
@@ -153,18 +138,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         let all = s.collect_events();
         assert_eq!(all.len(), 2);
-    }
-
-    #[test]
-    fn next_batch_fills_in_chunks() {
-        let mut s = SortedVecStream::presorted((0..7).map(|t| ev(0, t)).collect());
-        let mut buf = Vec::new();
-        assert_eq!(s.next_batch(3, &mut buf), 3);
-        assert_eq!(s.next_batch(3, &mut buf), 3);
-        assert_eq!(s.next_batch(3, &mut buf), 1);
-        assert_eq!(s.next_batch(3, &mut buf), 0);
-        assert_eq!(buf.len(), 7);
-        assert!(buf.windows(2).all(|w| w[0].time <= w[1].time));
     }
 
     #[test]

@@ -53,14 +53,21 @@ fn main() {
     for phase in 0..2 {
         let types = if phase == 0 { &phase1 } else { &phase2 };
         for _ in 0..4000 {
-            for &ty in types.iter() {
-                t += 5;
-                let e = Event::new(ty, Timestamp(t));
-                executor.process(&e);
-                if let PlanDecision::Replace(outcome) = manager.observe(&workload, &e) {
+            // one round of the phase's types, fed as one columnar batch
+            let round: Vec<Event> = types
+                .iter()
+                .map(|&ty| {
+                    t += 5;
+                    Event::new(ty, Timestamp(t))
+                })
+                .collect();
+            executor.process_columnar(&EventBatch::from_events(&round));
+            for e in &round {
+                if let PlanDecision::Replace(outcome) = manager.observe(&workload, e) {
                     migrations += 1;
                     println!(
-                        "\nrate drift detected at t={t}ms: new plan ({} candidates, score {:.0})",
+                        "\nrate drift detected at t={}: new plan ({} candidates, score {:.0})",
+                        e.time,
                         outcome.plan.len(),
                         outcome.score
                     );

@@ -52,6 +52,7 @@ fn main() {
     //    complete 2 + 5 = 7 sequences of (A,B,C,D))
     // ---------------------------------------------------------------
     let t = |n: &str| catalog.lookup(n).unwrap();
+    let mut batch = EventBatch::new();
     for (ty, ts) in [
         (t("A"), 1u64),
         (t("B"), 2),
@@ -63,8 +64,9 @@ fn main() {
         (t("C"), 8),
         (t("D"), 9),
     ] {
-        fw.process(&Event::new(ty, Timestamp(ts)));
+        batch.push_event(&Event::new(ty, Timestamp(ts)));
     }
+    fw.process_columnar(&batch);
 
     // ---------------------------------------------------------------
     // 4. Collect per-window results

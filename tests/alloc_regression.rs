@@ -17,14 +17,53 @@
 use sharon::prelude::*;
 use sharon::twostep::{FlinkLike, SpassLike};
 use sharon_executor::{
-    compile, spsc, BatchRouter, EngineKind, RouteBatch, RoutedRows, ShardSlice, ShardedOptions,
-    SplitConfig,
+    compile, for_partition, spsc, BatchRouter, PartitionEngine, RouteBatch, RoutedRows, ShardSlice,
+    ShardedOptions, SplitConfig,
 };
 use sharon_metrics::{alloc, TrackingAllocator};
+use std::alloc::{GlobalAlloc, Layout};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
+/// [`TrackingAllocator`] plus a per-thread count of allocation calls. The
+/// process-wide counter also sees the test harness itself, which spawns
+/// the next test's thread while a test runs; a test whose measured work
+/// runs on its own thread only reads [`thread_allocs`] instead.
+struct ThreadCountingAllocator;
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_thread_alloc() {
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocation calls made so far by the current thread.
+fn thread_allocs() -> usize {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+// SAFETY: delegates every call to `TrackingAllocator`, only adding a
+// thread-local counter bump.
+unsafe impl GlobalAlloc for ThreadCountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_thread_alloc();
+        TrackingAllocator.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        TrackingAllocator.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_thread_alloc();
+        TrackingAllocator.realloc(ptr, layout, new_size)
+    }
+}
+
 #[global_allocator]
-static ALLOC: TrackingAllocator = TrackingAllocator;
+static ALLOC: ThreadCountingAllocator = ThreadCountingAllocator;
 
 /// The allocation counter is process-global, so measured phases of
 /// concurrently running tests would pollute each other: every test in this
@@ -162,7 +201,7 @@ fn scan_kernel_path_is_allocation_free_in_both_modes() {
         )
         .unwrap();
         let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
-        let mut executor = EngineKind::for_partition(parts[0].clone(), shard);
+        let mut executor = for_partition(parts[0].clone(), shard);
 
         let (warmup, t) = build_batches(&catalog, WARMUP_BATCHES, 0);
         let (measured, _) = build_batches(&catalog, MEASURED_BATCHES, t);
@@ -433,7 +472,7 @@ fn split_group_path_is_allocation_free_after_warmup() {
     let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
     let n_shards = 3usize;
     let mut router = BatchRouter::with_split(parts.clone(), n_shards, SplitConfig::eager(16));
-    let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
+    let mut shards: Vec<Vec<Box<dyn PartitionEngine>>> = (0..n_shards)
         .map(|shard| {
             parts
                 .iter()
@@ -444,7 +483,7 @@ fn split_group_path_is_allocation_free_after_warmup() {
                         of: n_shards as u32,
                         owns_global: pi % n_shards == shard,
                     };
-                    EngineKind::for_partition(part.clone(), Some(slice))
+                    for_partition(part.clone(), Some(slice))
                 })
                 .collect()
         })
@@ -452,7 +491,7 @@ fn split_group_path_is_allocation_free_after_warmup() {
 
     let mut routed: Vec<RoutedRows> = Vec::new();
     let drive = |router: &mut BatchRouter,
-                 shards: &mut Vec<Vec<EngineKind>>,
+                 shards: &mut Vec<Vec<Box<dyn PartitionEngine>>>,
                  routed: &mut Vec<RoutedRows>,
                  batch: &EventBatch| {
         router.route_range_into(batch, 0, batch.len(), routed);
@@ -552,7 +591,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     let parts = compile(&catalog, &workload, &SharingPlan::non_shared()).unwrap();
     let n_shards = 2usize;
     let mut router = BatchRouter::with_split(parts.clone(), n_shards, SplitConfig::disabled());
-    let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
+    let mut shards: Vec<Vec<Box<dyn PartitionEngine>>> = (0..n_shards)
         .map(|shard| {
             parts
                 .iter()
@@ -563,7 +602,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
                         of: n_shards as u32,
                         owns_global: pi % n_shards == shard,
                     };
-                    EngineKind::for_partition(part.clone(), Some(slice))
+                    for_partition(part.clone(), Some(slice))
                 })
                 .collect()
         })
@@ -581,7 +620,7 @@ fn pipelined_route_and_execute_is_allocation_free_after_warmup() {
     let mut route_scratch: Vec<RoutedRows> = Vec::new();
     let rows_cap = n_shards * 6;
     let mut drive = |router: &mut BatchRouter,
-                     shards: &mut Vec<Vec<EngineKind>>,
+                     shards: &mut Vec<Vec<Box<dyn PartitionEngine>>>,
                      rows_pool: &mut Vec<RoutedRows>,
                      route_scratch: &mut Vec<RoutedRows>,
                      batch: &Arc<EventBatch>| {
@@ -712,7 +751,7 @@ fn two_router_plane_is_allocation_free_after_warmup() {
         assert_eq!(router.n_scopes(), n_parts, "plane-wide slot count");
         assert_eq!(router.n_local_scopes(), 2, "LPT halves equal costs");
     }
-    let mut shards: Vec<Vec<EngineKind>> = (0..n_shards)
+    let mut shards: Vec<Vec<Box<dyn PartitionEngine>>> = (0..n_shards)
         .map(|shard| {
             parts
                 .iter()
@@ -723,7 +762,7 @@ fn two_router_plane_is_allocation_free_after_warmup() {
                         of: n_shards as u32,
                         owns_global: pi % n_shards == shard,
                     };
-                    EngineKind::for_partition(part.clone(), Some(slice))
+                    for_partition(part.clone(), Some(slice))
                 })
                 .collect()
         })
@@ -745,7 +784,7 @@ fn two_router_plane_is_allocation_free_after_warmup() {
     let mut route_scratch: Vec<Vec<RoutedRows>> = (0..N_ROUTERS).map(|_| Vec::new()).collect();
     let rows_cap = n_shards * 6;
     let mut drive = |plane: &mut Vec<Box<dyn RouteBatch>>,
-                     shards: &mut Vec<Vec<EngineKind>>,
+                     shards: &mut Vec<Vec<Box<dyn PartitionEngine>>>,
                      rows_pools: &mut Vec<Vec<RoutedRows>>,
                      route_scratch: &mut Vec<Vec<RoutedRows>>,
                      batch: &Arc<EventBatch>| {
@@ -913,9 +952,11 @@ fn dedup_router_scans_each_distinct_scope_once_per_batch() {
 #[test]
 fn per_event_shim_stays_inline_for_small_events() {
     let _serial = serial();
-    // the row-form compatibility path: events with <= 4 attributes never
-    // allocate for their attribute storage
-    let ((), allocs) = alloc::measure_allocs(|| {
+    // row-form events with <= 4 attributes never allocate for their
+    // attribute storage (counted on this thread only: the events are built
+    // here, and the harness allocates concurrently)
+    let before = thread_allocs();
+    {
         let mut sink = 0u64;
         for i in 0..1000u64 {
             let e = Event::with_attrs(
@@ -927,6 +968,7 @@ fn per_event_shim_stays_inline_for_small_events() {
             std::hint::black_box(&e);
         }
         assert_eq!(sink, 3000);
-    });
+    }
+    let allocs = thread_allocs() - before;
     assert_eq!(allocs, 0, "small events must not touch the allocator");
 }

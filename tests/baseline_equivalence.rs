@@ -2,14 +2,15 @@
 //! SPASS-like) and the online executor: all four approaches of Figure 3
 //! answer identically — they differ only in cost.
 //!
-//! Also pins the baselines' *columnar* pipeline (stateless scan + stateful
-//! dispatch over `EventBatch` row indices) and their *sharded* route-once
-//! runs against the per-event reference, on all three paper streams and
-//! over ragged batch sizes (empty and single-event batches included):
-//! neither the batch form nor sharding is ever a semantics change.
+//! Also pins the baselines' *sequential* and *sharded* route-once runs
+//! against the A-Seq reference on all three paper streams, their ragged
+//! batch sizes (empty and single-event batches included) against one
+//! whole-stream batch, and one definition of a late row across the online
+//! executor and both baselines: neither batch boundaries nor sharding is
+//! ever a semantics change.
 
 use proptest::prelude::*;
-use sharon::executor::ShardedOptions;
+use sharon::executor::{BatchProcessor, ShardedOptions};
 use sharon::prelude::*;
 use sharon::streams::ecommerce::{self, EcommerceConfig};
 use sharon::streams::linear_road::{self, LinearRoadConfig};
@@ -76,14 +77,12 @@ proptest! {
             .map(|(o, l)| (o % n_types, l.min(n_types)))
             .collect();
         let (c, w) = build(n_types, &queries, within, slide);
-        let events = materialize(&c, n_types, &raw);
+        let batch = EventBatch::from_events(&materialize(&c, n_types, &raw));
 
         let mut online = Executor::non_shared(&c, &w).unwrap();
         let mut flink = FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            online.process(e);
-            flink.process(e);
-        }
+        online.process_columnar(&batch);
+        flink.process_columnar(&batch);
         let or = online.finish();
         let fr = flink.finish();
         prop_assert!(
@@ -108,17 +107,15 @@ proptest! {
             .map(|(o, l)| (o % n_types, l.min(n_types)))
             .collect();
         let (c, w) = build(n_types, &queries, within, slide);
-        let events = materialize(&c, n_types, &raw);
+        let batch = EventBatch::from_events(&materialize(&c, n_types, &raw));
 
         let rates = RateMap::uniform(50.0);
         let outcome = optimize_sharon(&w, &rates, &OptimizerConfig::default());
 
         let mut online = Executor::new(&c, &w, &outcome.plan).unwrap();
         let mut spass = SpassLike::new(&c, &w, &outcome.plan).unwrap();
-        for e in &events {
-            online.process(e);
-            spass.process(e);
-        }
+        online.process_columnar(&batch);
+        spass.process_columnar(&batch);
         let or = online.finish();
         let sr = spass.finish();
         prop_assert!(
@@ -130,10 +127,10 @@ proptest! {
     }
 }
 
-/// Per-event vs columnar vs sharded route-once for both baselines: the
-/// batch pipeline and the sharded runtime are pure re-arrangements of the
-/// same work.
-fn assert_baseline_forms_agree(
+/// Sequential and sharded route-once runs of both baselines against the
+/// A-Seq reference: the two-step pipeline and the sharded runtime are
+/// pure re-arrangements of the same work.
+fn assert_baselines_match_aseq(
     catalog: &Catalog,
     workload: &Workload,
     events: &[Event],
@@ -142,21 +139,18 @@ fn assert_baseline_forms_agree(
     let rates = RateMap::uniform(100.0);
     let plan = optimize_sharon(workload, &rates, &OptimizerConfig::default()).plan;
     let batch = EventBatch::from_events(events);
-
-    // Flink-like: per-event reference, then columnar, then sharded
-    let mut reference = FlinkLike::new(catalog, workload).unwrap();
-    for e in events {
-        reference.process(e);
-    }
-    let want = reference.finish();
+    let mut aseq = Executor::non_shared(catalog, workload).unwrap();
+    aseq.process_columnar(&batch);
+    let want = aseq.finish();
     assert!(!want.is_empty(), "{label}: stream must produce matches");
 
-    let mut columnar = FlinkLike::new(catalog, workload).unwrap();
-    columnar.process_columnar(&batch);
-    let got = columnar.finish();
+    // Flink-like: sequential, then sharded
+    let mut sequential = FlinkLike::new(catalog, workload).unwrap();
+    sequential.process_columnar(&batch);
+    let got = sequential.finish();
     assert!(
         got.semantically_eq(&want, 1e-9),
-        "{label}: flink columnar diverges from per-event ({} vs {} results)",
+        "{label}: flink diverges from A-Seq ({} vs {} results)",
         got.len(),
         want.len(),
     );
@@ -172,18 +166,12 @@ fn assert_baseline_forms_agree(
     }
 
     // SPASS-like under the Sharon construction-sharing plan
-    let mut reference = SpassLike::new(catalog, workload, &plan).unwrap();
-    for e in events {
-        reference.process(e);
-    }
-    let want = reference.finish();
-
-    let mut columnar = SpassLike::new(catalog, workload, &plan).unwrap();
-    columnar.process_columnar(&batch);
-    let got = columnar.finish();
+    let mut sequential = SpassLike::new(catalog, workload, &plan).unwrap();
+    sequential.process_columnar(&batch);
+    let got = sequential.finish();
     assert!(
         got.semantically_eq(&want, 1e-9),
-        "{label}: spass columnar diverges from per-event ({} vs {} results)",
+        "{label}: spass diverges from A-Seq ({} vs {} results)",
         got.len(),
         want.len(),
     );
@@ -201,7 +189,7 @@ fn assert_baseline_forms_agree(
 }
 
 #[test]
-fn columnar_baselines_match_per_event_on_taxi() {
+fn baselines_match_aseq_on_taxi() {
     let mut catalog = Catalog::new();
     let events = taxi::generate(
         &mut catalog,
@@ -213,11 +201,11 @@ fn columnar_baselines_match_per_event_on_taxi() {
         },
     );
     let workload = figure_1_workload(&mut catalog);
-    assert_baseline_forms_agree(&catalog, &workload, &events, "taxi");
+    assert_baselines_match_aseq(&catalog, &workload, &events, "taxi");
 }
 
 #[test]
-fn columnar_baselines_match_per_event_on_linear_road() {
+fn baselines_match_aseq_on_linear_road() {
     let mut catalog = Catalog::new();
     let events = linear_road::generate(
         &mut catalog,
@@ -241,11 +229,11 @@ fn columnar_baselines_match_per_event_on_linear_road() {
             seed: 9,
         },
     );
-    assert_baseline_forms_agree(&catalog, &workload, &events, "linear-road");
+    assert_baselines_match_aseq(&catalog, &workload, &events, "linear-road");
 }
 
 #[test]
-fn columnar_baselines_match_per_event_on_ecommerce() {
+fn baselines_match_aseq_on_ecommerce() {
     let mut catalog = Catalog::new();
     let events = ecommerce::generate(
         &mut catalog,
@@ -258,7 +246,7 @@ fn columnar_baselines_match_per_event_on_ecommerce() {
         },
     );
     let workload = figure_2_workload(&mut catalog);
-    assert_baseline_forms_agree(&catalog, &workload, &events, "ecommerce");
+    assert_baselines_match_aseq(&catalog, &workload, &events, "ecommerce");
 }
 
 proptest! {
@@ -310,10 +298,9 @@ proptest! {
         }
         batches.push(EventBatch::from_events(rest));
 
+        let whole = EventBatch::from_events(&events);
         let mut reference = FlinkLike::new(&c, &w).unwrap();
-        for e in &events {
-            reference.process(e);
-        }
+        reference.process_columnar(&whole);
         let want = reference.finish();
 
         let mut columnar = FlinkLike::new(&c, &w).unwrap();
@@ -344,9 +331,7 @@ proptest! {
 
         let plan = SharingPlan::non_shared();
         let mut reference = SpassLike::new(&c, &w, &plan).unwrap();
-        for e in &events {
-            reference.process(e);
-        }
+        reference.process_columnar(&whole);
         let want = reference.finish();
 
         let mut sharded = SpassLike::sharded(&c, &w, &plan, shards, &options).unwrap();
@@ -376,18 +361,72 @@ fn two_step_constructs_polynomially_many_sequences() {
     let t = |n: &str| c.lookup(n).unwrap();
     let mut flink = FlinkLike::new(&c, &w).unwrap();
     // 20 As, 20 Bs, then one C: the C constructs 20*20 = 400 sequences
+    let mut batch = EventBatch::new();
     let mut ts = 0;
     for _ in 0..20 {
         ts += 1;
-        flink.process(&Event::new(t("A"), Timestamp(ts)));
+        batch.push(t("A"), Timestamp(ts), &[]);
     }
     for _ in 0..20 {
         ts += 1;
-        flink.process(&Event::new(t("B"), Timestamp(ts)));
+        batch.push(t("B"), Timestamp(ts), &[]);
     }
     ts += 1;
-    flink.process(&Event::new(t("C"), Timestamp(ts)));
+    batch.push(t("C"), Timestamp(ts), &[]);
+    flink.process_columnar(&batch);
     assert_eq!(flink.sequences_constructed(), 400);
     let res = flink.finish();
     assert_eq!(res.total_count(QueryId(0)), 400);
+}
+
+/// One definition of a late row: a row its scope's scan selected that
+/// arrives behind the watermark. An unrouted row is never late, so the
+/// online executor and both baselines drop and count exactly the same
+/// rows, and report the same results.
+#[test]
+fn late_rows_count_once_across_executors() {
+    let mut c = Catalog::new();
+    let w = parse_workload(
+        &mut c,
+        ["RETURN COUNT(*) PATTERN SEQ(A) WITHIN 10 ms SLIDE 10 ms"],
+    )
+    .unwrap();
+    let a = c.lookup("A").unwrap();
+    let z = c.register("Z"); // no query routes Z
+    let mut first = EventBatch::new();
+    first.push(a, Timestamp(10), &[]); // watermark 10 - 2 = 8
+    let mut second = EventBatch::new();
+    second.push(z, Timestamp(5), &[]); // unrouted: not late, just ignored
+    second.push(a, Timestamp(5), &[]); // 5 < 8: late
+
+    let runs: Vec<(&str, Box<dyn BatchProcessor>)> = vec![
+        ("online", Box::new(Executor::non_shared(&c, &w).unwrap())),
+        ("flink", Box::new(FlinkLike::new(&c, &w).unwrap())),
+        (
+            "spass",
+            Box::new(SpassLike::new(&c, &w, &SharingPlan::non_shared()).unwrap()),
+        ),
+    ];
+    let mut reports = Vec::new();
+    for (label, mut ex) in runs {
+        ex.set_lateness(2);
+        ex.process_columnar(&first);
+        ex.process_columnar(&second);
+        assert_eq!(
+            ex.late_rows_dropped(),
+            1,
+            "{label}: exactly the routed A@5 is late"
+        );
+        let (results, matched) = ex.finish();
+        assert_eq!(matched, 1, "{label}: only A@10 is folded");
+        reports.push((label, results));
+    }
+    let (_, want) = &reports[0];
+    assert_eq!(want.total_count(QueryId(0)), 1);
+    for (label, got) in &reports[1..] {
+        assert!(
+            got.semantically_eq(want, 1e-9),
+            "{label} diverges from online"
+        );
+    }
 }

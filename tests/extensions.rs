@@ -11,8 +11,13 @@ use proptest::prelude::{prop, prop_assert, proptest, ProptestConfig};
 use sharon::prelude::*;
 use sharon::twostep::FlinkLike;
 
-fn ev(c: &Catalog, name: &str, t: u64) -> Event {
-    Event::new(c.lookup(name).unwrap(), Timestamp(t))
+/// A time-ordered batch of attribute-less `(type name, time)` rows.
+fn batch(c: &Catalog, rows: &[(&str, u64)]) -> EventBatch {
+    let mut b = EventBatch::new();
+    for &(name, t) in rows {
+        b.push(c.lookup(name).unwrap(), Timestamp(t), &[]);
+    }
+    b
 }
 
 /// §7.3: a pattern with a repeated type, checked by hand.
@@ -28,16 +33,10 @@ fn repeated_type_pattern_by_hand() {
     )
     .unwrap();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
-    for (n, t) in [
-        ("A", 1u64),
-        ("B", 2),
-        ("A", 3),
-        ("A", 4),
-        ("B", 5),
-        ("A", 6),
-    ] {
-        ex.process(&ev(&c, n, t));
-    }
+    ex.process_columnar(&batch(
+        &c,
+        &[("A", 1), ("B", 2), ("A", 3), ("A", 4), ("B", 5), ("A", 6)],
+    ));
     let res = ex.finish();
     assert_eq!(res.total_count(QueryId(0)), 6);
 }
@@ -55,9 +54,7 @@ fn count_e_with_repeated_type() {
     )
     .unwrap();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
-    for (n, t) in [("A", 1u64), ("B", 2), ("A", 3)] {
-        ex.process(&ev(&c, n, t));
-    }
+    ex.process_columnar(&batch(&c, &[("A", 1), ("B", 2), ("A", 3)]));
     let res = ex.finish();
     assert_eq!(res.total_count(QueryId(0)), 1);
     assert_eq!(res.total_count(QueryId(1)), 2, "two A events per sequence");
@@ -87,13 +84,14 @@ proptest! {
         let w = Workload::from_queries([parse_query(&mut c, &src).unwrap()]);
         let mut online = Executor::non_shared(&c, &w).unwrap();
         let mut brute = FlinkLike::new(&c, &w).unwrap();
+        let mut stream = EventBatch::new();
         let mut t = 0u64;
         for (ty, dt) in raw {
             t += dt;
-            let e = Event::new(c.lookup(&format!("T{ty}")).unwrap(), Timestamp(t));
-            online.process(&e);
-            brute.process(&e);
+            stream.push(c.lookup(&format!("T{ty}")).unwrap(), Timestamp(t), &[]);
         }
+        online.process_columnar(&stream);
+        brute.process_columnar(&stream);
         let or = online.finish();
         let br = brute.finish();
         prop_assert!(
@@ -143,19 +141,16 @@ fn mixed_clause_workload_partitions_correctly() {
     // all six together under the Sharon plan
     let rates = RateMap::uniform(50.0);
     let outcome = optimize_sharon(&w, &rates, &OptimizerConfig::default());
+    let stream = EventBatch::from_events(&events);
     let mut together = Executor::new(&c, &w, &outcome.plan).unwrap();
-    for e in &events {
-        together.process(e);
-    }
+    together.process_columnar(&stream);
     let got = together.finish();
 
     // each query alone
     for q in w.queries() {
         let solo_w = Workload::from_queries([q.clone()]);
         let mut solo = Executor::non_shared(&c, &solo_w).unwrap();
-        for e in &events {
-            solo.process(e);
-        }
+        solo.process_columnar(&stream);
         let want = solo.finish();
         for (g, wstart, v) in want.of_query(QueryId(0)) {
             assert_eq!(
@@ -218,12 +213,8 @@ fn window_gaps_are_handled() {
     .unwrap();
     let mut ex = Executor::non_shared(&c, &w).unwrap();
     // burst, long silence, burst
-    for (n, t) in [("A", 1u64), ("B", 2)] {
-        ex.process(&ev(&c, n, t));
-    }
-    for (n, t) in [("A", 1_000_001u64), ("B", 1_000_002)] {
-        ex.process(&ev(&c, n, t));
-    }
+    ex.process_columnar(&batch(&c, &[("A", 1), ("B", 2)]));
+    ex.process_columnar(&batch(&c, &[("A", 1_000_001), ("B", 1_000_002)]));
     assert!(ex.cell_count() < 100, "state must not accumulate over gaps");
     let res = ex.finish();
     // burst 1: only window [0,10) holds (a1,b2); burst 2: windows starting

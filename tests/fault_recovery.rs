@@ -91,7 +91,7 @@ fn sequential_reference(
     events: &[Event],
 ) -> ExecutorResults {
     let mut sequential = Executor::new(catalog, workload, plan).expect("sequential compiles");
-    sequential.process_batch(events);
+    sequential.process_columnar(&EventBatch::from_events(events));
     sequential.finish()
 }
 
@@ -133,7 +133,7 @@ fn assert_kill_and_resume_is_exact(
             let mut crashing =
                 ShardedExecutor::with_options(catalog, workload, plan, shards, options.clone())
                     .expect("sharded compiles");
-            crashing.process_batch(events);
+            crashing.process_columnar(&EventBatch::from_events(events));
             // simulated crash: everything after the last checkpoint is lost
             drop(crashing);
 
@@ -158,7 +158,7 @@ fn assert_kill_and_resume_is_exact(
                 "{label}: checkpoint at {offset} covers events dropped at batch {crash_batch}"
             );
 
-            resumed.process_batch(&events[offset as usize..]);
+            resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
             let got = resumed.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
@@ -308,7 +308,7 @@ fn reorder_fault_kill_and_resume_is_exact() {
             let mut uninterrupted =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
                     .expect("sharded compiles");
-            uninterrupted.process_batch(&events);
+            uninterrupted.process_columnar(&EventBatch::from_events(&events));
             let got = uninterrupted.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
@@ -330,7 +330,9 @@ fn reorder_fault_kill_and_resume_is_exact() {
             let mut crashing =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options.clone())
                     .expect("sharded compiles");
-            crashing.process_batch(&events[..(crash_batch * BATCH as u64) as usize]);
+            crashing.process_columnar(&EventBatch::from_events(
+                &events[..(crash_batch * BATCH as u64) as usize],
+            ));
             drop(crashing); // simulated crash: uncheckpointed tail is lost
 
             // a burst at or past the resume offset has to fire again in
@@ -360,7 +362,7 @@ fn reorder_fault_kill_and_resume_is_exact() {
                     .expect("second resume from the same store");
             assert_eq!(offset, offset2, "reorder: resume offset must be stable");
 
-            resumed.process_batch(&events[offset as usize..]);
+            resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
             let got = resumed.finish();
             assert!(
                 got.semantically_eq(&want, 1e-9),
@@ -431,7 +433,7 @@ fn below_bound_lateness_drops_and_counts() {
             let mut sharded =
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                     .expect("sharded compiles");
-            sharded.process_batch(&shuffled);
+            sharded.process_columnar(&EventBatch::from_events(&shuffled));
             let got = sharded.finish();
             let dropped = sharon::metrics::late_rows_dropped() - before;
             assert_eq!(
@@ -480,7 +482,7 @@ fn strategy_layer_resume_round_trips() {
             .batch_size(BATCH)
             .build_executor()
             .expect("builds");
-        plain.process_batch(&events);
+        plain.process_columnar(&EventBatch::from_events(&events));
         let want = plain.finish();
 
         let dir = test_dir(strategy.name());
@@ -501,7 +503,7 @@ fn strategy_layer_resume_round_trips() {
             .fault(FaultPlan::Drop { batch: crash_batch })
             .build_executor()
             .expect("builds with durability");
-        crashing.process_batch(&events);
+        crashing.process_columnar(&EventBatch::from_events(&events));
         drop(crashing);
 
         let resume_options = ShardedOptions {
@@ -518,7 +520,7 @@ fn strategy_layer_resume_round_trips() {
             resume_options,
         )
         .expect("resumes");
-        resumed.process_batch(&events[offset as usize..]);
+        resumed.process_columnar(&EventBatch::from_events(&events[offset as usize..]));
         let got = resumed.finish();
         assert!(
             got.semantically_eq(&want, 1e-9),
@@ -562,7 +564,7 @@ fn worker_panic_is_contained_and_reported() {
                 ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                     .expect("sharded compiles");
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                sharded.process_batch(&events);
+                sharded.process_columnar(&EventBatch::from_events(&events));
                 sharded.finish()
             }))
             .expect_err("a worker panic must fail the run, not vanish");
@@ -602,7 +604,7 @@ fn spill_tier_is_result_exact_under_memory_pressure() {
         let mut sharded =
             ShardedExecutor::with_options(&catalog, &workload, &plan, shards, options)
                 .expect("sharded compiles");
-        sharded.process_batch(&events);
+        sharded.process_columnar(&EventBatch::from_events(&events));
         let got = sharded.finish();
         assert!(
             got.semantically_eq(&want, 1e-9),

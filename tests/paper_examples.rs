@@ -135,9 +135,11 @@ fn examples_1_and_2_executor_counts() {
     .unwrap();
     let (a, b) = (c.lookup("A").unwrap(), c.lookup("B").unwrap());
     let mut ex = Executor::non_shared(&c, &w).unwrap();
+    let mut batch = EventBatch::new();
     for (ty, t) in [(a, 1u64), (b, 2), (a, 3), (b, 4)] {
-        ex.process(&Event::new(ty, Timestamp(t)));
+        batch.push(ty, Timestamp(t), &[]);
     }
+    ex.process_columnar(&batch);
     let res = ex.finish();
     assert_eq!(res.total_count(QueryId(0)), 3, "Example 1: count(A,B) = 3");
 }
@@ -184,10 +186,9 @@ fn example_3_shared_combination() {
     ]);
     let mut shared = Executor::new(&c, &w, &plan).unwrap();
     let mut nonshared = Executor::non_shared(&c, &w).unwrap();
-    for e in &events {
-        shared.process(e);
-        nonshared.process(e);
-    }
+    let batch = EventBatch::from_events(&events);
+    shared.process_columnar(&batch);
+    nonshared.process_columnar(&batch);
     let sr = shared.finish();
     let nr = nonshared.finish();
     assert_eq!(sr.total_count(QueryId(0)), 7, "paper: count(A,B,C,D) = 7");

@@ -1,8 +1,7 @@
 //! Scan parity: the compiled [`ScanKernel`] bitmap path every executor
 //! runs must select exactly the rows the per-row interpreter selects —
 //! not "equivalent" rows, the *same* rows, row for row. The interpreter
-//! lives on here (and in the row-form `Engine::process` path) as the
-//! oracle.
+//! lives on here, and only here, as the oracle.
 //!
 //! Three layers of evidence:
 //!
@@ -16,8 +15,9 @@
 //!    partition of predicate-bearing TX / LR / EC workloads, kernel vs
 //!    interpreter, over ragged chunkings of the generated stream.
 //! 3. **End-to-end equivalence** — on all three streams, sequential,
-//!    sharded, Flink-like, and SPASS-like executors agree
-//!    (`semantically_eq`) with the per-event A-Seq reference; the
+//!    sharded, Flink-like, and SPASS-like executors over ragged chunkings
+//!    agree (`semantically_eq`) with an A-Seq reference run over the
+//!    whole stream as one batch; the
 //!    sequential executor's per-partition `(rows_scanned, rows_selected)`
 //!    tallies equal the interpreter's counts over the compiled
 //!    partitions, and the sharded runtime reports the same tallies.
@@ -33,8 +33,8 @@ use sharon_executor::{compile, CompiledPartition, ScanKernel};
 use sharon_query::{clause_passes, CmpOp};
 use sharon_types::AttrId;
 
-/// The per-row interpreter, spelled out: exactly the `routed` →
-/// `predicates_pass` → `groupable` walk of the row-form engine path.
+/// The per-row interpreter, spelled out: routing, then every predicate
+/// clause through [`clause_passes`], then groupability.
 fn scalar_select(
     routed: &[bool],
     group_attrs: &[Box<[AttrId]>],
@@ -290,7 +290,7 @@ fn ecommerce_stream_kernel_row_parity() {
 
 /// Run every executor over ragged chunkings of `events` and check it
 /// end to end: sequential, sharded (route-once columnar), Flink-like, and
-/// SPASS-like results equal the per-event A-Seq reference; the sequential
+/// SPASS-like results equal the whole-stream A-Seq reference; the sequential
 /// executor's per-partition scan tallies equal the interpreter's counts
 /// over the compiled partitions; the sharded runtime's tallies equal the
 /// sequential executor's.
@@ -312,11 +312,9 @@ fn assert_scan_end_to_end(
     }
     batches.push(EventBatch::from_events(rest));
 
-    // the per-event reference walks the interpreter, never the kernel
+    // the reference sees the whole stream as one batch
     let mut reference = Executor::non_shared(catalog, workload).expect("reference compiles");
-    for e in events {
-        reference.process(e);
-    }
+    reference.process_columnar(&EventBatch::from_events(events));
     let want = reference.finish();
     assert!(!want.is_empty(), "{label}: the stream must produce results");
     let check = |name: &str, got: &ExecutorResults| {
